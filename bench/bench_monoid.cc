@@ -5,8 +5,8 @@
 // Section 7.3 argument (implemented in min_max_monoid) makes it polynomial
 // anyway. The table contrasts the monoid engine with brute force, shows
 // the engine scaling far beyond the enumeration horizon, and measures the
-// all-facts batched scorer (MinMaxMonoidScoreAll) against the per-fact
-// sweep it replaces.
+// all-facts batched scorer (MinMaxMonoidScoreAll: one leave-one-out pass
+// of the shared hierarchical DP) against the per-fact sweep it replaces.
 
 #include <cstdio>
 #include <utility>
@@ -111,9 +111,9 @@ int main(int argc, char** argv) {
         per_fact.emplace_back(fact, std::move(score).value());
       }
     });
-    // Batched: this cross-product workload takes the pushed-functional
-    // fast path (one leave-one-out DP pass, then per-fact BigInt dot
-    // products) — the speedup is purely algorithmic, no threads involved.
+    // Batched: one leave-one-out DP pass yields every fact's F-variant,
+    // and G follows from the partition identity — the speedup is purely
+    // algorithmic, no threads involved.
     std::vector<std::pair<FactId, Rational>> batched;
     double batched_ms = bench::TimeMs([&] {
       auto scores = MinMaxMonoidScoreAll(q, MonoidKind::kPlus, {0, 1},

@@ -77,13 +77,6 @@ IdHomomorphisms EnumerateHomomorphismIds(const ConjunctiveQuery& q,
 std::vector<Homomorphism> EnumerateHomomorphisms(const ConjunctiveQuery& q,
                                                  const Database& db);
 
-// Reference implementation of EnumerateHomomorphisms: the original
-// unindexed backtracking join that scans every fact of an atom's relation.
-// Retained as the differential-testing oracle for the indexed join; both
-// must produce the same homomorphism set (possibly in different order).
-std::vector<Homomorphism> EnumerateHomomorphismsNaive(
-    const ConjunctiveQuery& q, const Database& db);
-
 // Evaluates Q over the sub-database D_x ∪ E where E is given as a set of
 // endogenous fact ids (bitmask over `endo_index`, see below). Exogenous
 // facts of `db` are always available. `endo_position[fact_id]` gives the

@@ -1,44 +1,23 @@
 #include "shapcq/shapley/answer_counts.h"
 
-#include <string>
 #include <vector>
 
-#include "shapcq/shapley/dp_util.h"
+#include "shapcq/shapley/hierarchical_dp.h"
 #include "shapcq/shapley/membership.h"
-#include "shapcq/util/check.h"
 
 namespace shapcq {
 
 namespace {
 
-// Free root variables of q (roots that are also head variables).
-std::vector<std::string> FreeRootVariables(const ConjunctiveQuery& q) {
-  std::vector<std::string> out;
-  for (const std::string& root : RootVariables(q)) {
-    if (q.IsFreeVariable(root)) out.push_back(root);
-  }
-  return out;
-}
-
-// combine_∪ at a free root variable: disjoint answer sets, sizes add.
-AnswerCountMap CombineUnion(const AnswerCountMap& lhs,
-                            const AnswerCountMap& rhs) {
+// Σ over pairs of entries: key `combine`d, counts multiplied.
+template <typename KeyCombine>
+AnswerCountMap CombineKeys(const AnswerCountMap& lhs,
+                           const AnswerCountMap& rhs, KeyCombine combine) {
   AnswerCountMap out;
   for (const auto& [lk, lcount] : lhs) {
     for (const auto& [rk, rcount] : rhs) {
-      out[{lk.first + rk.first, lk.second + rk.second}] += lcount * rcount;
-    }
-  }
-  return out;
-}
-
-// combine_×: answer counts multiply.
-AnswerCountMap CombineCross(const AnswerCountMap& lhs,
-                            const AnswerCountMap& rhs) {
-  AnswerCountMap out;
-  for (const auto& [lk, lcount] : lhs) {
-    for (const auto& [rk, rcount] : rhs) {
-      out[{lk.first + rk.first, lk.second * rk.second}] += lcount * rcount;
+      out[{lk.first + rk.first, combine(lk.second, rk.second)}] +=
+          lcount * rcount;
     }
   }
   return out;
@@ -46,49 +25,45 @@ AnswerCountMap CombineCross(const AnswerCountMap& lhs,
 
 }  // namespace
 
+AnswerCountMap AnswerCountStructure::Leaf(const ConjunctiveQuery& q,
+                                          const FactSubset& facts,
+                                          const Context&,
+                                          Combinatorics* comb) const {
+  const int m = facts.CountEndogenous();
+  std::vector<BigInt> sat = SatisfactionCountsOnSubset(q, facts, comb);
+  AnswerCountMap out;
+  for (int k = 0; k <= m; ++k) {
+    const BigInt& yes = sat[static_cast<size_t>(k)];
+    BigInt no = comb->Binomial(m, k) - yes;
+    if (!yes.is_zero()) out[{k, 1}] = yes;
+    if (!no.is_zero()) out[{k, 0}] = no;
+  }
+  return out;
+}
+
+AnswerCountMap AnswerCountStructure::Union(const AnswerCountMap& lhs,
+                                           const AnswerCountMap& rhs,
+                                           Combinatorics*) const {
+  return CombineKeys(lhs, rhs, [](int l, int r) { return l + r; });
+}
+
+AnswerCountMap AnswerCountStructure::Cross(const AnswerCountMap& lhs,
+                                           const AnswerCountMap& rhs,
+                                           Combinatorics*) const {
+  return CombineKeys(lhs, rhs, [](int l, int r) { return l * r; });
+}
+
+AnswerCountMap AnswerCountStructure::Pad(const AnswerCountMap& p, int pad,
+                                         Combinatorics* comb) const {
+  return PadAnswerCounts(p, pad, comb);
+}
+
 AnswerCountMap AnswerCountDistribution(const ConjunctiveQuery& q,
                                        const FactSubset& facts,
                                        Combinatorics* comb) {
-  int total_endogenous = facts.CountEndogenous();
-  if (q.is_boolean()) {
-    std::vector<BigInt> sat = SatisfactionCountsOnSubset(q, facts, comb);
-    AnswerCountMap out;
-    for (int k = 0; k <= total_endogenous; ++k) {
-      const BigInt& yes = sat[static_cast<size_t>(k)];
-      BigInt no = comb->Binomial(total_endogenous, k) - yes;
-      if (!yes.is_zero()) out[{k, 1}] = yes;
-      if (!no.is_zero()) out[{k, 0}] = no;
-    }
-    return out;
-  }
-  std::vector<std::string> free_roots = FreeRootVariables(q);
-  if (!free_roots.empty()) {
-    const std::string& x = free_roots[0];
-    AnswerCountMap acc = {{{0, 0}, BigInt(1)}};
-    int covered_endogenous = 0;
-    for (const Value& a : CandidateValues(q, x, facts)) {
-      FactSubset sub;
-      sub.db = facts.db;
-      sub.facts = FactsConsistentWith(q, x, a, facts);
-      covered_endogenous += sub.CountEndogenous();
-      acc = CombineUnion(acc, AnswerCountDistribution(q.Bind(x, a), sub, comb));
-    }
-    return PadAnswerCounts(acc, total_endogenous - covered_endogenous, comb);
-  }
-  std::vector<std::vector<int>> components = ConnectedComponents(q);
-  SHAPCQ_CHECK(components.size() > 1 &&
-               "a connected non-Boolean q-hierarchical CQ must have a free "
-               "root variable");
-  AnswerCountMap acc = {{{0, 1}, BigInt(1)}};
-  int covered_endogenous = 0;
-  for (const std::vector<int>& component : components) {
-    ConjunctiveQuery sub_q = q.Project(component, nullptr);
-    FactSubset sub = FactsOfQueryRelations(sub_q, facts);
-    covered_endogenous += sub.CountEndogenous();
-    acc = CombineCross(acc, AnswerCountDistribution(sub_q, sub, comb));
-  }
-  SHAPCQ_CHECK(covered_endogenous == total_endogenous);
-  return acc;
+  AnswerCountStructure structure;
+  return HierarchicalDp<AnswerCountStructure>(structure, comb)
+      .Solve(q, facts, {});
 }
 
 AnswerCountMap PadAnswerCounts(const AnswerCountMap& counts, int pad,

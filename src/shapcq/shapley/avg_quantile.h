@@ -1,6 +1,7 @@
 // Avg and Qnt_q over q-hierarchical CQs (Section 5.1, Appendix D).
 //
-// Instantiates the generic algorithm with the quintuple data structure
+// Instantiates the generic algorithm (hierarchical_dp.h) with the
+// quintuple data structure of avg_quantile_dp.h
 //
 //   P[Q', D'](a, k, ℓ<, ℓ=, ℓ>) = #{ E ∈ (D'_n choose k) :
 //       the bag (τ ∘ Q')(E ∪ D'_x) has exactly ℓ= copies of a,
@@ -32,28 +33,18 @@ namespace shapcq {
 // sum_k series for A = Avg ∘ τ ∘ Q or Qnt_q ∘ τ ∘ Q. Returns UNSUPPORTED
 // unless the query is self-join-free and q-hierarchical and τ is localized
 // on some atom of Q. The quintuple counts run on CountValue (fixed-width
-// fast path, escaping to BigInt on overflow); arithmetic is exact in
-// either representation, so results are bitwise-identical to the BigInt
-// oracle below.
+// fast path, escaping to BigInt on overflow); arithmetic is exact, so the
+// series is bitwise-identical to a pure-BigInt instantiation.
 StatusOr<SumKSeries> AvgQuantileSumK(const AggregateQuery& a,
                                      const Database& db,
                                      const SolverOptions& options = {});
 
-// The same DP instantiated on pure BigInt counts — the differential oracle
-// for the CountValue production path. Tests compare the two series element
-// for element; production callers should use AvgQuantileSumK.
-StatusOr<SumKSeries> AvgQuantileSumKBigInt(const AggregateQuery& a,
-                                           const Database& db,
-                                           const SolverOptions& options = {});
-
-// Batched all-facts scorer with the same gates as AvgQuantileSumK. The
-// reduction state shared across facts — the anchor vector, the relevance
-// split, the binomial caches — is built once; each fact's derived
-// databases F/G are an endogenous-flag flip and a subset drop on a
-// worker-private copy, and query-irrelevant facts score an exact 0 without
-// running the quintuple DP. Shards over options.num_threads
-// (options.score selects Shapley/Banzhaf); values are bitwise-identical
-// to per-fact ScoreViaSumK for every thread count.
+// Batched all-facts scorer with the same gates as AvgQuantileSumK: the
+// anchors are computed once and one leave-one-out pass of the quintuple
+// DP yields every fact's F-variant; query-irrelevant facts score an exact
+// 0. Shards the per-fact assembly over options.num_threads (options.score
+// selects Shapley/Banzhaf); values are bitwise-identical to per-fact
+// ScoreViaSumK for every thread count.
 StatusOr<std::vector<std::pair<FactId, Rational>>> AvgQuantileScoreAll(
     const AggregateQuery& a, const Database& db,
     const SolverOptions& options = {});

@@ -4,6 +4,7 @@
 
 #include "shapcq/agg/value_function.h"
 #include "shapcq/hierarchy/classification.h"
+#include "shapcq/query/decomposition.h"
 #include "shapcq/query/evaluator.h"
 #include "shapcq/shapley/dp_util.h"
 #include "shapcq/shapley/engine_registry.h"
@@ -16,7 +17,7 @@ namespace shapcq {
 
 StatusOr<SumKSeries> CountDistinctSumK(const AggregateQuery& a,
                                        const Database& db,
-                                       const SolverOptions& options) {
+                                       const SolverOptions& /*options*/) {
   if (a.alpha.kind() != AggKind::kCountDistinct) {
     return UnsupportedError("CountDistinctSumK handles CountDistinct only");
   }
@@ -46,24 +47,23 @@ StatusOr<SumKSeries> CountDistinctSumK(const AggregateQuery& a,
   int n = db.num_endogenous();
   SumKSeries series(static_cast<size_t>(n) + 1);
   ConjunctiveQuery q_bool = a.query.AsBoolean();
+  const RelevanceSplit split = SplitRelevantIndexed(q_bool, db);
   for (const Rational& value : values) {
-    // D_value: remove localization-relation facts with a different τ-value.
-    Database d_value;
-    int removed_endogenous = 0;
-    for (FactId id = 0; id < db.num_facts(); ++id) {
-      if (!db.live(id)) continue;
+    // D_value: drop localization-relation facts with a different τ-value;
+    // they pad the counts like the irrelevant facts.
+    FactSubset d_value{&db, {}};
+    int pad = split.irrelevant_endogenous;
+    for (FactId id : split.relevant.facts) {
       const Fact& fact = db.fact(id);
       if (fact.relation == relation &&
           EvaluateTauOnFact(a.query, atom_index, *a.tau, fact.args) != value) {
-        if (fact.endogenous) ++removed_endogenous;
+        if (fact.endogenous) ++pad;
         continue;
       }
-      d_value.AddFact(fact.relation, fact.args, fact.endogenous);
+      d_value.facts.push_back(id);
     }
-    StatusOr<std::vector<BigInt>> counts = SatisfactionCounts(q_bool, d_value);
-    if (!counts.ok()) return counts.status();
-    std::vector<BigInt> padded =
-        PadCounts(*counts, removed_endogenous, &comb);
+    std::vector<BigInt> padded = PadCounts(
+        SatisfactionCountsOnSubset(q_bool, d_value, &comb), pad, &comb);
     SHAPCQ_CHECK(static_cast<int>(padded.size()) == n + 1);
     for (int k = 0; k <= n; ++k) {
       series[static_cast<size_t>(k)] += Rational(padded[static_cast<size_t>(k)]);

@@ -3,123 +3,60 @@
 #include <string>
 
 #include "shapcq/hierarchy/classification.h"
-#include "shapcq/query/decomposition.h"
-#include "shapcq/shapley/dp_util.h"
+#include "shapcq/shapley/hierarchical_dp.h"
 #include "shapcq/util/check.h"
-#include "shapcq/util/combinatorics.h"
 
 namespace shapcq {
 
-namespace {
-
-// Recursive satisfaction-count solver. `facts` contains only facts that
-// match their atom in `q` under the bindings accumulated so far. Returns a
-// vector of length (#endogenous facts in `facts`) + 1.
-class MembershipSolver {
- public:
-  explicit MembershipSolver(Combinatorics* comb) : comb_(comb) {}
-
-  std::vector<BigInt> Solve(const ConjunctiveQuery& q,
-                            const FactSubset& facts) {
-    if (IsGround(q)) return SolveGround(q, facts);
-    std::vector<std::string> roots = RootVariables(q);
-    if (!roots.empty()) return SolveRoot(q, roots[0], facts);
-    std::vector<std::vector<int>> components = ConnectedComponents(q);
-    SHAPCQ_CHECK(components.size() > 1 &&
-                 "connected non-ground hierarchical CQ must have a root "
-                 "variable");
-    return SolveCrossProduct(q, components, facts);
-  }
-
- private:
-  // All atoms ground: Q is true iff every atom's fact is present.
-  std::vector<BigInt> SolveGround(const ConjunctiveQuery& q,
-                                  const FactSubset& facts) {
-    int m = facts.CountEndogenous();
-    std::vector<BigInt> counts(static_cast<size_t>(m) + 1, BigInt(0));
-    int required_endogenous = 0;
-    for (const Atom& atom : q.atoms()) {
-      Tuple args;
-      args.reserve(atom.terms.size());
-      for (const Term& term : atom.terms) args.push_back(term.constant());
-      // Find the fact within the subset.
-      bool found = false;
-      bool endogenous = false;
-      for (FactId id : facts.facts) {
-        const Fact& fact = facts.db->fact(id);
-        if (fact.relation == atom.relation && fact.args == args) {
-          found = true;
-          endogenous = fact.endogenous;
-          break;
-        }
+SatisfactionStructure::P SatisfactionStructure::Leaf(
+    const ConjunctiveQuery& q, const FactSubset& facts, const Context&,
+    Combinatorics* comb) const {
+  const int m = facts.CountEndogenous();
+  P unsat = comb->BinomialRow(m);
+  int required_endogenous = 0;
+  for (const Atom& atom : q.atoms()) {
+    Tuple args;
+    args.reserve(atom.terms.size());
+    for (const Term& term : atom.terms) args.push_back(term.constant());
+    const Fact* match = nullptr;
+    for (FactId id : facts.facts) {
+      const Fact& fact = facts.db->fact(id);
+      if (fact.relation == atom.relation && fact.args == args) {
+        match = &fact;
+        break;
       }
-      if (!found) return counts;  // never satisfiable: all zero
-      if (endogenous) ++required_endogenous;
     }
-    for (int k = required_endogenous; k <= m; ++k) {
-      counts[static_cast<size_t>(k)] =
-          comb_->Binomial(m - required_endogenous, k - required_endogenous);
-    }
-    return counts;
+    if (match == nullptr) return unsat;  // never satisfiable
+    if (match->endogenous) ++required_endogenous;
   }
-
-  // Root variable: split by the value of x; satisfaction is a disjunction
-  // over disjoint sub-databases, so unsatisfying counts multiply.
-  std::vector<BigInt> SolveRoot(const ConjunctiveQuery& q,
-                                const std::string& x,
-                                const FactSubset& facts) {
-    int total_endogenous = facts.CountEndogenous();
-    std::vector<Value> values = CandidateValues(q, x, facts);
-    std::vector<BigInt> unsat = {BigInt(1)};
-    int covered_endogenous = 0;
-    for (const Value& a : values) {
-      FactSubset sub;
-      sub.db = facts.db;
-      sub.facts = FactsConsistentWith(q, x, a, facts);
-      int sub_endogenous = sub.CountEndogenous();
-      covered_endogenous += sub_endogenous;
-      std::vector<BigInt> sat = Solve(q.Bind(x, a), sub);
-      std::vector<BigInt> sub_unsat =
-          SubtractCounts(comb_->BinomialRow(sub_endogenous), sat);
-      unsat = Convolve(unsat, sub_unsat);
-    }
-    // Facts not consistent with any candidate value can never participate:
-    // they pad the unsatisfying counts.
-    int pad = total_endogenous - covered_endogenous;
-    SHAPCQ_CHECK(pad >= 0);
-    unsat = PadCounts(unsat, pad, comb_);
-    SHAPCQ_CHECK(static_cast<int>(unsat.size()) == total_endogenous + 1);
-    return SubtractCounts(comb_->BinomialRow(total_endogenous), unsat);
+  for (int k = required_endogenous; k <= m; ++k) {
+    unsat[static_cast<size_t>(k)] -=
+        comb->Binomial(m - required_endogenous, k - required_endogenous);
   }
+  return unsat;
+}
 
-  // Cross product: satisfaction is a conjunction over components with
-  // disjoint relations, so satisfying counts multiply.
-  std::vector<BigInt> SolveCrossProduct(
-      const ConjunctiveQuery& q, const std::vector<std::vector<int>>& components,
-      const FactSubset& facts) {
-    std::vector<BigInt> counts = {BigInt(1)};
-    int covered_endogenous = 0;
-    for (const std::vector<int>& component : components) {
-      ConjunctiveQuery sub_q = q.Project(component, nullptr);
-      FactSubset sub = FactsOfQueryRelations(sub_q, facts);
-      covered_endogenous += sub.CountEndogenous();
-      counts = Convolve(counts, Solve(sub_q, sub));
-    }
-    // Components cover all atoms, hence all facts of q's relations.
-    SHAPCQ_CHECK(covered_endogenous == facts.CountEndogenous());
-    return counts;
-  }
+SatisfactionStructure::P SatisfactionStructure::Cross(
+    const P& lhs, const P& rhs, Combinatorics* comb) const {
+  std::vector<BigInt> sat = Convolve(Satisfying(lhs, comb),
+                                     Satisfying(rhs, comb));
+  return SubtractCounts(comb->BinomialRow(static_cast<int64_t>(sat.size()) - 1),
+                        sat);
+}
 
-  Combinatorics* comb_;
-};
-
-}  // namespace
+std::vector<BigInt> SatisfactionStructure::Satisfying(const P& unsat,
+                                                      Combinatorics* comb) {
+  return SubtractCounts(
+      comb->BinomialRow(static_cast<int64_t>(unsat.size()) - 1), unsat);
+}
 
 std::vector<BigInt> SatisfactionCountsOnSubset(const ConjunctiveQuery& q,
                                                const FactSubset& facts,
                                                Combinatorics* comb) {
-  MembershipSolver solver(comb);
-  return solver.Solve(q.is_boolean() ? q : q.AsBoolean(), facts);
+  SatisfactionStructure structure;
+  HierarchicalDp<SatisfactionStructure> dp(structure, comb);
+  return SatisfactionStructure::Satisfying(
+      dp.Solve(q.is_boolean() ? q : q.AsBoolean(), facts, {}), comb);
 }
 
 StatusOr<std::vector<BigInt>> SatisfactionCounts(const ConjunctiveQuery& q,
@@ -134,11 +71,10 @@ StatusOr<std::vector<BigInt>> SatisfactionCounts(const ConjunctiveQuery& q,
                             q.ToString());
   }
   Combinatorics comb;
-  ConjunctiveQuery q_bool = q.is_boolean() ? q : q.AsBoolean();
-  RelevanceSplit split = SplitRelevant(q_bool, AllFacts(db));
-  MembershipSolver solver(&comb);
-  std::vector<BigInt> counts = solver.Solve(q_bool, split.relevant);
-  counts = PadCounts(counts, split.irrelevant_endogenous, &comb);
+  std::vector<BigInt> counts = SatisfactionStructure::Satisfying(
+      SolveWholeDatabase(SatisfactionStructure(),
+                         q.is_boolean() ? q : q.AsBoolean(), {}, db, &comb),
+      &comb);
   SHAPCQ_CHECK(static_cast<int>(counts.size()) == db.num_endogenous() + 1);
   return counts;
 }

@@ -1,612 +1,90 @@
 #include "shapcq/shapley/min_max.h"
 
 #include <algorithm>
-#include <map>
 #include <optional>
-#include <set>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
-#include "shapcq/agg/value_function.h"
 #include "shapcq/hierarchy/classification.h"
-#include "shapcq/query/decomposition.h"
-#include "shapcq/query/evaluator.h"
 #include "shapcq/shapley/dp_util.h"
 #include "shapcq/shapley/engine_registry.h"
+#include "shapcq/shapley/hierarchical_dp.h"
 #include "shapcq/shapley/membership.h"
+#include "shapcq/shapley/min_max_monoid.h"
 #include "shapcq/util/check.h"
-#include "shapcq/util/combinatorics.h"
-#include "shapcq/util/parallel.h"
 
 namespace shapcq {
 
 namespace {
 
-// The paper's P[Q', D'] for sub-problems containing the localization
-// relation: per anchor (τ-value, ascending), the per-size counts of subsets
-// whose maximum equals that anchor. Subsets with an empty answer set are
-// implicit: C(m, k) − Σ_anchors count.
-struct MaxStructure {
-  // by_anchor[i][k], every row has length num_endogenous + 1.
-  std::vector<std::vector<BigInt>> by_anchor;
-  int num_endogenous = 0;
-};
+// A partial fold: nullopt is the identity (nothing folded yet).
+using PartialValue = std::optional<Rational>;
 
-// The leave-one-out bundle of one sub-problem: the structure of the full
-// fact subset plus, for every endogenous fact f in it, the structure with
-// f exogenous (the paper's derived database F_f, one row narrower). Built
-// in one recursive pass: at each combine node the variants reuse the
-// prefix/suffix-combined siblings, so a fact's variant costs one combine
-// per ancestor instead of a full re-solve — this is what makes the
-// batched all-facts scorer asymptotically cheaper than the per-fact
-// sweep. Combines count subsets with exact integers, so any combine
-// grouping yields the identical structure. The trade-off is memory: all
-// n variants are resident at once (O(n² · anchors) BigInts at the top
-// node); streaming scores out as variants complete would cap that if
-// instances outgrow it.
-struct MaxLOO {
-  MaxStructure full;
-  std::unordered_map<FactId, MaxStructure> minus;
-};
-
-class MaxSolver {
- public:
-  MaxSolver(const ConjunctiveQuery& original, const ValueFunction& tau,
-            const std::string& relation, std::vector<Rational> anchors,
-            Combinatorics* comb)
-      : tau_(tau), relation_(relation), anchors_(std::move(anchors)),
-        comb_(comb), head_arity_(original.arity()) {
-    for (int position = 0; position < original.arity(); ++position) {
-      positions_of_head_var_[original.head()[static_cast<size_t>(position)]]
-          .push_back(position);
-    }
-    depends_on_ = tau_.DependsOn();
+PartialValue Fold(MonoidKind kind, const PartialValue& a,
+                  const PartialValue& b) {
+  if (!a.has_value()) return b;
+  if (!b.has_value()) return a;
+  switch (kind) {
+    case MonoidKind::kPlus:
+      return *a + *b;
+    case MonoidKind::kMax:
+      return *a > *b ? a : b;
+    case MonoidKind::kMin:
+      return *a < *b ? a : b;
   }
+  SHAPCQ_UNREACHABLE();
+}
 
-  // Partial original-head assignment; nullopt = not yet bound.
-  using PartialHead = std::vector<std::optional<Value>>;
+void AddInto(std::vector<BigInt>* acc, const std::vector<BigInt>& counts) {
+  SHAPCQ_CHECK(acc->size() == counts.size());
+  for (size_t k = 0; k < counts.size(); ++k) (*acc)[k] += counts[k];
+}
 
-  PartialHead EmptyHead() const {
-    return PartialHead(static_cast<size_t>(head_arity_));
+bool IsZero(const std::vector<BigInt>& counts) {
+  return std::all_of(counts.begin(), counts.end(),
+                     [](const BigInt& c) { return c.is_zero(); });
+}
+
+// Per size k, the subsets without answers: C(m, k) − Σ rows.
+std::vector<BigInt> NoAnswerCounts(const MaxRows& p, Combinatorics* comb) {
+  std::vector<BigInt> out = comb->BinomialRow(p.num_endogenous);
+  for (const auto& [key, row] : p.rows) {
+    for (size_t k = 0; k < out.size(); ++k) out[k] -= row[k];
   }
+  return out;
+}
 
-  MaxStructure Solve(const ConjunctiveQuery& q, const FactSubset& facts,
-                     const PartialHead& head) {
-    SHAPCQ_CHECK(AtomIndexOf(q, relation_) >= 0);
-    if (AllDependedBound(head)) return SolveValueFixed(q, facts, head);
-    std::vector<std::string> roots = RootVariables(q);
-    if (!roots.empty()) return SolveRoot(q, roots[0], facts, head);
-    std::vector<std::vector<int>> components = ConnectedComponents(q);
-    SHAPCQ_CHECK(components.size() > 1);
-    return SolveCrossProduct(q, components, facts, head);
-  }
-
-  // One pass computing the full structure and every endogenous fact's
-  // F-variant. `work` must be the (mutable) database all fact subsets
-  // point into; leaf variants are realized as transient flag flips on it.
-  // Every flag is restored before returning.
-  MaxLOO SolveLeaveOneOut(const ConjunctiveQuery& q, const FactSubset& facts,
-                          const PartialHead& head, Database* work) {
-    loo_db_ = work;
-    MaxLOO out = SolveLOO(q, facts, head);
-    loo_db_ = nullptr;
-    return out;
-  }
-
-  // Zero structure over zero facts (identity for combine_∪).
-  MaxStructure Empty() const {
-    MaxStructure s;
-    s.num_endogenous = 0;
-    s.by_anchor.assign(anchors_.size(), {BigInt(0)});
-    return s;
-  }
-
-  // Adds `pad` endogenous facts that never affect the answers.
-  MaxStructure Pad(MaxStructure s, int pad) const {
-    if (pad == 0) return s;
-    for (auto& row : s.by_anchor) row = PadCounts(row, pad, comb_);
-    s.num_endogenous += pad;
-    return s;
-  }
-
-  // combine_∪ (Appendix C): over disjoint sub-databases, the union's maximum
-  // is a iff both sides are ≤ a (or empty) and at least one side equals a.
-  MaxStructure CombineUnion(const MaxStructure& lhs,
-                            const MaxStructure& rhs) const {
-    MaxStructure out;
-    out.num_endogenous = lhs.num_endogenous + rhs.num_endogenous;
-    size_t num_anchors = anchors_.size();
-    out.by_anchor.assign(num_anchors,
-                         std::vector<BigInt>(
-                             static_cast<size_t>(out.num_endogenous) + 1));
-    // N_le[i][k] = #subsets with max ≤ anchor i or empty; N_lt strict.
-    std::vector<std::vector<BigInt>> lhs_le = AtMostCounts(lhs);
-    std::vector<std::vector<BigInt>> rhs_le = AtMostCounts(rhs);
-    for (size_t i = 0; i < num_anchors; ++i) {
-      const std::vector<BigInt>& lhs_eq = lhs.by_anchor[i];
-      const std::vector<BigInt>& rhs_eq = rhs.by_anchor[i];
-      std::vector<BigInt> lhs_lt = lhs_le[i];
-      for (size_t k = 0; k < lhs_lt.size(); ++k) lhs_lt[k] -= lhs_eq[k];
-      // max = a: (lhs = a, rhs ≤ a or empty) or (lhs < a or empty, rhs = a).
-      std::vector<BigInt> part1 = Convolve(lhs_eq, rhs_le[i]);
-      std::vector<BigInt> part2 = Convolve(lhs_lt, rhs_eq);
-      for (size_t k = 0; k < out.by_anchor[i].size(); ++k) {
-        out.by_anchor[i][k] = part1[k] + part2[k];
-      }
-    }
-    return out;
-  }
-
- private:
-  bool AllDependedBound(const PartialHead& head) const {
-    for (int position : depends_on_) {
-      if (!head[static_cast<size_t>(position)].has_value()) return false;
-    }
-    return true;
-  }
-
-  int AnchorIndexOf(const Rational& value) const {
-    auto it = std::lower_bound(anchors_.begin(), anchors_.end(), value);
-    if (it == anchors_.end() || *it != value) return -1;
-    return static_cast<int>(it - anchors_.begin());
-  }
-
-  // All τ-relevant head positions are bound: every answer of this
-  // sub-problem has the same τ-value, so the structure collapses to
-  // satisfaction counts tagged with one anchor.
-  MaxStructure SolveValueFixed(const ConjunctiveQuery& q,
-                               const FactSubset& facts,
-                               const PartialHead& head) {
-    Tuple answer(static_cast<size_t>(head_arity_), Value(0));
-    for (int position : depends_on_) {
-      answer[static_cast<size_t>(position)] =
-          *head[static_cast<size_t>(position)];
-    }
-    Rational value = tau_.Evaluate(answer);
-    std::vector<BigInt> sat = SatisfactionCountsOnSubset(q, facts, comb_);
-    MaxStructure out;
-    out.num_endogenous = static_cast<int>(sat.size()) - 1;
-    out.by_anchor.assign(anchors_.size(),
-                         std::vector<BigInt>(sat.size()));
-    int anchor = AnchorIndexOf(value);
-    if (anchor >= 0) {
-      out.by_anchor[static_cast<size_t>(anchor)] = std::move(sat);
-    } else {
-      // A value outside the anchor set can never be realized by an answer
-      // of the full database, so no subset may satisfy the query here.
-      for (const BigInt& count : sat) SHAPCQ_CHECK(count.is_zero());
-    }
-    return out;
-  }
-
-  MaxStructure SolveRoot(const ConjunctiveQuery& q, const std::string& x,
-                         const FactSubset& facts, const PartialHead& head) {
-    int total_endogenous = facts.CountEndogenous();
-    MaxStructure acc = Empty();
-    int covered_endogenous = 0;
-    for (const Value& a : CandidateValues(q, x, facts)) {
-      FactSubset sub;
-      sub.db = facts.db;
-      sub.facts = FactsConsistentWith(q, x, a, facts);
-      covered_endogenous += sub.CountEndogenous();
-      PartialHead sub_head = head;
-      auto it = positions_of_head_var_.find(x);
-      if (it != positions_of_head_var_.end()) {
-        for (int position : it->second) {
-          sub_head[static_cast<size_t>(position)] = a;
-        }
-      }
-      acc = CombineUnion(acc, Solve(q.Bind(x, a), sub, sub_head));
-    }
-    return Pad(std::move(acc), total_endogenous - covered_endogenous);
-  }
-
-  // combine_× (Appendix C): the factor holding the localization relation
-  // carries the value structure; all other factors gate by non-emptiness.
-  MaxStructure SolveCrossProduct(const ConjunctiveQuery& q,
-                                 const std::vector<std::vector<int>>& components,
-                                 const FactSubset& facts,
-                                 const PartialHead& head) {
-    int r_atom = AtomIndexOf(q, relation_);
-    MaxStructure value_side;
-    std::vector<BigInt> other_sat = {BigInt(1)};
-    int covered_endogenous = 0;
-    bool found = false;
-    for (const std::vector<int>& component : components) {
-      ConjunctiveQuery sub_q = q.Project(component, nullptr);
-      FactSubset sub = FactsOfQueryRelations(sub_q, facts);
-      covered_endogenous += sub.CountEndogenous();
-      bool holds_r = std::find(component.begin(), component.end(), r_atom) !=
-                     component.end();
-      if (holds_r) {
-        found = true;
-        value_side = Solve(sub_q, sub, head);
-      } else {
-        other_sat = Convolve(other_sat,
-                             SatisfactionCountsOnSubset(sub_q, sub, comb_));
-      }
-    }
-    SHAPCQ_CHECK(found);
-    SHAPCQ_CHECK(covered_endogenous == facts.CountEndogenous());
-    MaxStructure out;
-    out.num_endogenous = facts.CountEndogenous();
-    out.by_anchor.reserve(anchors_.size());
-    for (const std::vector<BigInt>& row : value_side.by_anchor) {
-      std::vector<BigInt> combined = Convolve(row, other_sat);
-      combined.resize(static_cast<size_t>(out.num_endogenous) + 1);
-      out.by_anchor.push_back(std::move(combined));
-    }
-    return out;
-  }
-
-  MaxLOO SolveLOO(const ConjunctiveQuery& q, const FactSubset& facts,
-                  const PartialHead& head) {
-    SHAPCQ_CHECK(AtomIndexOf(q, relation_) >= 0);
-    if (AllDependedBound(head)) return SolveValueFixedLOO(q, facts, head);
-    std::vector<std::string> roots = RootVariables(q);
-    if (!roots.empty()) return SolveRootLOO(q, roots[0], facts, head);
-    std::vector<std::vector<int>> components = ConnectedComponents(q);
-    SHAPCQ_CHECK(components.size() > 1);
-    return SolveCrossProductLOO(q, components, facts, head);
-  }
-
-  // Leaf: the variant of each fact is a direct re-count with its flag
-  // flipped — the one place the leave-one-out pass still recomputes.
-  MaxLOO SolveValueFixedLOO(const ConjunctiveQuery& q, const FactSubset& facts,
-                            const PartialHead& head) {
-    MaxLOO out;
-    out.full = SolveValueFixed(q, facts, head);
-    for (FactId f : facts.EndogenousFacts()) {
-      loo_db_->SetEndogenous(f, false);
-      out.minus.emplace(f, SolveValueFixed(q, facts, head));
-      loo_db_->SetEndogenous(f, true);
-    }
-    return out;
-  }
-
-  // Root split: each fact lives in exactly one branch (self-join-free
-  // consistency is a partition), so its variant is
-  // prefix ∪ variant-branch ∪ suffix — one CombineUnion pair per fact
-  // instead of re-folding every branch. Uncovered endogenous facts are
-  // pure padding: their variant is the same combined structure with one
-  // padding row fewer.
-  MaxLOO SolveRootLOO(const ConjunctiveQuery& q, const std::string& x,
-                      const FactSubset& facts, const PartialHead& head) {
-    int total_endogenous = facts.CountEndogenous();
-    std::vector<MaxLOO> branches;
-    int covered_endogenous = 0;
-    std::unordered_set<FactId> covered_endo;
-    for (const Value& a : CandidateValues(q, x, facts)) {
-      FactSubset sub;
-      sub.db = facts.db;
-      sub.facts = FactsConsistentWith(q, x, a, facts);
-      covered_endogenous += sub.CountEndogenous();
-      for (FactId f : sub.EndogenousFacts()) covered_endo.insert(f);
-      PartialHead sub_head = head;
-      auto it = positions_of_head_var_.find(x);
-      if (it != positions_of_head_var_.end()) {
-        for (int position : it->second) {
-          sub_head[static_cast<size_t>(position)] = a;
-        }
-      }
-      branches.push_back(SolveLOO(q.Bind(x, a), sub, sub_head));
-    }
-    const int pad = total_endogenous - covered_endogenous;
-    const size_t num_branches = branches.size();
-    // prefix[i] = branches[0..i) folded left (prefix[0] = Empty), exactly
-    // the running accumulator of SolveRoot; suffix[i] = branches(i..B).
-    std::vector<MaxStructure> prefix(num_branches + 1);
-    prefix[0] = Empty();
-    for (size_t i = 0; i < num_branches; ++i) {
-      prefix[i + 1] = CombineUnion(prefix[i], branches[i].full);
-    }
-    std::vector<MaxStructure> suffix(num_branches + 1);
-    suffix[num_branches] = Empty();
-    for (size_t i = num_branches; i-- > 0;) {
-      suffix[i] = CombineUnion(branches[i].full, suffix[i + 1]);
-    }
-    MaxLOO out;
-    out.full = Pad(prefix[num_branches], pad);
-    for (size_t i = 0; i < num_branches; ++i) {
-      for (auto& [f, variant] : branches[i].minus) {
-        out.minus.emplace(
-            f, Pad(CombineUnion(CombineUnion(prefix[i], variant),
-                                suffix[i + 1]),
-                   pad));
-      }
-    }
-    if (pad > 0) {
-      for (FactId f : facts.EndogenousFacts()) {
-        if (covered_endo.count(f) == 0) {
-          out.minus.emplace(f, Pad(prefix[num_branches], pad - 1));
-        }
-      }
-    }
-    return out;
-  }
-
-  // Cross product: the value-bearing component recurses; the other
-  // components gate by satisfaction counts. A fact in a gating component
-  // re-counts only that component and re-convolves.
-  MaxLOO SolveCrossProductLOO(const ConjunctiveQuery& q,
-                              const std::vector<std::vector<int>>& components,
-                              const FactSubset& facts,
-                              const PartialHead& head) {
-    int r_atom = AtomIndexOf(q, relation_);
-    MaxLOO value_side;
-    // Gating components: full counts plus per-endogenous-fact variants.
-    struct GateComponent {
-      std::vector<BigInt> sat;
-      std::unordered_map<FactId, std::vector<BigInt>> sat_minus;
-    };
-    std::vector<GateComponent> gates;
-    int covered_endogenous = 0;
-    bool found = false;
-    for (const std::vector<int>& component : components) {
-      ConjunctiveQuery sub_q = q.Project(component, nullptr);
-      FactSubset sub = FactsOfQueryRelations(sub_q, facts);
-      covered_endogenous += sub.CountEndogenous();
-      bool holds_r = std::find(component.begin(), component.end(), r_atom) !=
-                     component.end();
-      if (holds_r) {
-        found = true;
-        value_side = SolveLOO(sub_q, sub, head);
-      } else {
-        GateComponent gate;
-        gate.sat = SatisfactionCountsOnSubset(sub_q, sub, comb_);
-        for (FactId f : sub.EndogenousFacts()) {
-          loo_db_->SetEndogenous(f, false);
-          gate.sat_minus.emplace(
-              f, SatisfactionCountsOnSubset(sub_q, sub, comb_));
-          loo_db_->SetEndogenous(f, true);
-        }
-        gates.push_back(std::move(gate));
-      }
-    }
-    SHAPCQ_CHECK(found);
-    SHAPCQ_CHECK(covered_endogenous == facts.CountEndogenous());
-    const int num_endogenous = facts.CountEndogenous();
-    // Convolved gate counts with prefix/suffix so a gating fact's variant
-    // re-convolves one component, not all of them.
-    const size_t num_gates = gates.size();
-    std::vector<std::vector<BigInt>> gate_prefix(num_gates + 1);
-    gate_prefix[0] = {BigInt(1)};
-    for (size_t i = 0; i < num_gates; ++i) {
-      gate_prefix[i + 1] = Convolve(gate_prefix[i], gates[i].sat);
-    }
-    std::vector<std::vector<BigInt>> gate_suffix(num_gates + 1);
-    gate_suffix[num_gates] = {BigInt(1)};
-    for (size_t i = num_gates; i-- > 0;) {
-      gate_suffix[i] = Convolve(gates[i].sat, gate_suffix[i + 1]);
-    }
-    auto combine = [&](const MaxStructure& value,
-                       const std::vector<BigInt>& other_sat,
-                       int endogenous) {
-      MaxStructure s;
-      s.num_endogenous = endogenous;
-      s.by_anchor.reserve(anchors_.size());
-      for (const std::vector<BigInt>& row : value.by_anchor) {
-        std::vector<BigInt> combined = Convolve(row, other_sat);
-        combined.resize(static_cast<size_t>(endogenous) + 1);
-        s.by_anchor.push_back(std::move(combined));
-      }
-      return s;
-    };
-    MaxLOO out;
-    out.full = combine(value_side.full, gate_prefix[num_gates],
-                       num_endogenous);
-    for (auto& [f, variant] : value_side.minus) {
-      out.minus.emplace(
-          f, combine(variant, gate_prefix[num_gates], num_endogenous - 1));
-    }
-    for (size_t i = 0; i < num_gates; ++i) {
-      for (auto& [f, sat_variant] : gates[i].sat_minus) {
-        std::vector<BigInt> other =
-            Convolve(Convolve(gate_prefix[i], sat_variant),
-                     gate_suffix[i + 1]);
-        out.minus.emplace(f,
-                          combine(value_side.full, other, num_endogenous - 1));
-      }
-    }
-    return out;
-  }
-
-  // Per anchor i: counts of subsets with max ≤ anchor i or empty answers.
-  std::vector<std::vector<BigInt>> AtMostCounts(const MaxStructure& s) const {
-    size_t width = static_cast<size_t>(s.num_endogenous) + 1;
-    std::vector<std::vector<BigInt>> result(anchors_.size(),
-                                            std::vector<BigInt>(width));
-    // Running prefix over anchors.
-    std::vector<BigInt> prefix(width);
-    std::vector<BigInt> total(width);
-    for (size_t i = 0; i < anchors_.size(); ++i) {
-      for (size_t k = 0; k < width; ++k) total[k] += s.by_anchor[i][k];
-    }
-    for (size_t i = 0; i < anchors_.size(); ++i) {
-      for (size_t k = 0; k < width; ++k) {
-        prefix[k] += s.by_anchor[i][k];
-        // empty-answer subsets: C(m,k) − total.
-        result[i][k] = prefix[k] + comb_->Binomial(s.num_endogenous,
-                                                   static_cast<int64_t>(k)) -
-                       total[k];
-      }
-    }
-    return result;
-  }
-
-  const ValueFunction& tau_;
-  const std::string& relation_;
-  std::vector<Rational> anchors_;  // ascending
-  Combinatorics* comb_;
-  int head_arity_;
-  std::vector<int> depends_on_;
-  std::unordered_map<std::string, std::vector<int>> positions_of_head_var_;
-  // Set only during SolveLeaveOneOut: the mutable database the fact
-  // subsets point into, used for transient leaf flag flips.
-  Database* loo_db_ = nullptr;
-};
-
-StatusOr<SumKSeries> MaxSumK(const AggregateQuery& a, const Database& db) {
-  std::vector<int> localization = LocalizationAtoms(a.query, *a.tau);
-  if (localization.empty()) {
-    return UnsupportedError("value function is not localized on any atom of " +
-                            a.query.ToString());
-  }
-  const std::string relation =
-      a.query.atoms()[static_cast<size_t>(localization[0])].relation;
-  // Anchors: distinct τ-values over the answers of the full database.
-  std::set<Rational> anchor_set;
-  for (const Tuple& answer : Evaluate(a.query, db)) {
-    anchor_set.insert(a.tau->Evaluate(answer));
-  }
-  int n = db.num_endogenous();
-  SumKSeries series(static_cast<size_t>(n) + 1);
-  if (anchor_set.empty()) return series;  // no answers ever: sum_k = 0
-  std::vector<Rational> anchors(anchor_set.begin(), anchor_set.end());
+// The Max engine over `structure`: the sum_k series of the whole
+// database, negated back for the Min dual.
+SumKSeries MaxSeries(const MaxRowsStructure& structure,
+                     const ConjunctiveQuery& q, const Database& db,
+                     bool negate) {
   Combinatorics comb;
-  MaxSolver solver(a.query, *a.tau, relation, anchors, &comb);
-  RelevanceSplit split = SplitRelevant(a.query, AllFacts(db));
-  MaxStructure top =
-      solver.Solve(a.query, split.relevant, solver.EmptyHead());
-  top = solver.Pad(std::move(top), split.irrelevant_endogenous);
-  SHAPCQ_CHECK(top.num_endogenous == n);
-  for (size_t i = 0; i < anchors.size(); ++i) {
-    for (int k = 0; k <= n; ++k) {
-      const BigInt& count = top.by_anchor[i][static_cast<size_t>(k)];
-      if (!count.is_zero()) {
-        series[static_cast<size_t>(k)] += anchors[i] * Rational(count);
-      }
-    }
+  SumKSeries series = MaxRowsStructure::Series(
+      SolveWholeDatabase(structure, q, structure.Top(), db, &comb));
+  if (negate) {
+    for (Rational& value : series) value = -value;
   }
   return series;
 }
 
-// sum_k series of a padded MaxStructure: Σ_anchors a · count, ascending
-// anchors — the exact accumulation order of MaxSumK's tail, so the batched
-// path reproduces its values bit for bit.
-SumKSeries SeriesFromMaxStructure(const MaxStructure& top,
-                                  const std::vector<Rational>& anchors) {
-  SumKSeries series(static_cast<size_t>(top.num_endogenous) + 1);
-  for (size_t i = 0; i < anchors.size(); ++i) {
-    for (size_t k = 0; k < series.size(); ++k) {
-      const BigInt& count = top.by_anchor[i][k];
-      if (!count.is_zero()) series[k] += anchors[i] * Rational(count);
-    }
+// Batched scores over `structure`. Min(B) = −Max(−B) and the score is
+// linear in the series, so the Min scores are the negated Max scores.
+std::vector<std::pair<FactId, Rational>> MaxScores(
+    const MaxRowsStructure& structure, const ConjunctiveQuery& q,
+    const Database& db, bool negate, const SolverOptions& options) {
+  std::vector<std::pair<FactId, Rational>> scores = ScoreAllLeaveOneOut(
+      structure, q, structure.Top(), db, &MaxRowsStructure::Series, options);
+  if (negate) {
+    for (auto& [fact, score] : scores) score = -score;
   }
-  return series;
-}
-
-// Batched Max scorer. Equivalence with per-fact ScoreViaSumK(MaxSumK):
-//  * F_f (f exogenous) has exactly the facts of D, so its answers, anchor
-//    set, and relevance split coincide with D's. All F-structures come
-//    from one leave-one-out DP pass (SolveLeaveOneOut) over the relevant
-//    subset — exact subset counting, so the variants carry exactly the
-//    integers a from-scratch solve of F_f would produce.
-//  * G_f (f removed) follows from the partition identity
-//      sum_k(A, D) = sum_k(A, G_f) + sum_{k−1}(A, F_f)
-//    (split the k-subsets of D_n by membership of f), so no G solve runs
-//    at all. The subtraction is exact rational arithmetic on canonical
-//    forms, hence value- and representation-identical to solving G_f.
-//  * Facts irrelevant to Q leave every answer set unchanged, so F and G
-//    series coincide and the score is an exact 0 — emitted without
-//    running the DP (the per-fact path computes the same 0 the long way).
-StatusOr<std::vector<std::pair<FactId, Rational>>> MaxScoreAll(
-    const AggregateQuery& a, const Database& db, const SolverOptions& options) {
-  std::vector<int> localization = LocalizationAtoms(a.query, *a.tau);
-  if (localization.empty()) {
-    return UnsupportedError("value function is not localized on any atom of " +
-                            a.query.ToString());
-  }
-  const std::string relation =
-      a.query.atoms()[static_cast<size_t>(localization[0])].relation;
-  const std::vector<FactId> endo = db.EndogenousFacts();
-  const int n = db.num_endogenous();
-  if (n == 0) return std::vector<std::pair<FactId, Rational>>{};
-  // Anchors: distinct τ-values over the answers of the full database —
-  // computed once and shared by every per-fact variant.
-  std::set<Rational> anchor_set;
-  for (const Tuple& answer : Evaluate(a.query, db)) {
-    anchor_set.insert(a.tau->Evaluate(answer));
-  }
-  std::vector<std::pair<FactId, Rational>> scores(endo.size());
-  if (anchor_set.empty()) {
-    // No answers over the full database: every F/G series is zero.
-    for (size_t i = 0; i < endo.size(); ++i) scores[i] = {endo[i], Rational()};
-    return scores;
-  }
-  const std::vector<Rational> anchors(anchor_set.begin(), anchor_set.end());
-  // Relevance split, shared: relevance is independent of endogenous flags,
-  // and every scored fact is itself relevant (irrelevant ones short-circuit
-  // to 0), so the irrelevant counts hold for each derived database too.
-  RelevanceSplit split = SplitRelevantIndexed(a.query, db);
-  std::vector<char> is_relevant(static_cast<size_t>(db.num_facts()), 0);
-  for (FactId id : split.relevant.facts) {
-    is_relevant[static_cast<size_t>(id)] = 1;
-  }
-  // One leave-one-out pass over the relevant subset: the full structure
-  // plus every relevant endogenous fact's F-variant.
-  Database work = db;
-  Combinatorics comb;
-  MaxSolver solver(a.query, *a.tau, relation, anchors, &comb);
-  FactSubset relevant;
-  relevant.db = &work;
-  relevant.facts = split.relevant.facts;
-  MaxLOO loo =
-      solver.SolveLeaveOneOut(a.query, relevant, solver.EmptyHead(), &work);
-  MaxStructure full =
-      solver.Pad(std::move(loo.full), split.irrelevant_endogenous);
-  SHAPCQ_CHECK(full.num_endogenous == n);
-  const SumKSeries full_series = SeriesFromMaxStructure(full, anchors);
-  // Per-fact assembly shards over contiguous fact chunks (worker-private
-  // binomial caches; slot i holds fact endo[i], so the fan-out is
-  // deterministic and thread-count invariant).
-  const int num_chunks =
-      EffectiveThreadCount(options.num_threads, static_cast<int64_t>(n));
-  ParallelFor(
-      num_chunks,
-      [&](int64_t c) {
-        const auto [chunk_begin, chunk_end] =
-            ChunkBounds(static_cast<int64_t>(endo.size()), num_chunks, c);
-        const size_t begin = static_cast<size_t>(chunk_begin);
-        const size_t end = static_cast<size_t>(chunk_end);
-        Combinatorics worker_comb;
-        for (size_t i = begin; i < end; ++i) {
-          const FactId f = endo[i];
-          if (!is_relevant[static_cast<size_t>(f)]) {
-            scores[i] = {f, Rational()};
-            continue;
-          }
-          auto it = loo.minus.find(f);
-          SHAPCQ_CHECK(it != loo.minus.end());
-          MaxStructure padded;
-          padded.num_endogenous =
-              it->second.num_endogenous + split.irrelevant_endogenous;
-          padded.by_anchor.reserve(it->second.by_anchor.size());
-          for (const std::vector<BigInt>& row : it->second.by_anchor) {
-            padded.by_anchor.push_back(
-                split.irrelevant_endogenous == 0
-                    ? row
-                    : PadCounts(row, split.irrelevant_endogenous,
-                                &worker_comb));
-          }
-          SHAPCQ_CHECK(padded.num_endogenous == n - 1);
-          SumKSeries series_f = SeriesFromMaxStructure(padded, anchors);
-          SumKSeries series_g =
-              RemovedSeriesFromIdentity(full_series, series_f);
-          scores[i] = {f, ScoreFromSumK(series_f, series_g, options.score)};
-        }
-      },
-      num_chunks);
   return scores;
 }
 
-}  // namespace
-
-StatusOr<SumKSeries> MinMaxSumK(const AggregateQuery& a, const Database& db,
-                                const SolverOptions& /*options*/) {
+// The gates of the localized engine, shared by both entry points so the
+// batch fails exactly where the per-fact path would.
+Status CheckMinMaxShape(const AggregateQuery& a) {
   if (a.alpha.kind() != AggKind::kMin && a.alpha.kind() != AggKind::kMax) {
     return UnsupportedError("MinMaxSumK handles Min and Max only");
   }
@@ -617,46 +95,204 @@ StatusOr<SumKSeries> MinMaxSumK(const AggregateQuery& a, const Database& db,
     return UnsupportedError("Min/Max requires an all-hierarchical CQ: " +
                             a.query.ToString());
   }
-  if (a.alpha.kind() == AggKind::kMax) return MaxSumK(a, db);
-  // Min(B) = −Max(−B), and both send ∅ to 0.
-  AggregateQuery negated{
-      a.query,
-      MakeComposedTau([](const Rational& v) { return -v; }, a.tau, "negate"),
-      AggregateFunction::Max()};
-  StatusOr<SumKSeries> series = MaxSumK(negated, db);
-  if (!series.ok()) return series.status();
-  for (Rational& value : *series) value = -value;
+  if (LocalizationAtoms(a.query, *a.tau).empty()) {
+    return UnsupportedError("value function is not localized on any atom of " +
+                            a.query.ToString());
+  }
+  return Status::Ok();
+}
+
+// The gates of the monoid engine, shared by both entry points.
+Status CheckMonoidShape(const ConjunctiveQuery& q, MonoidKind kind,
+                        const std::vector<int>& positions, bool is_max) {
+  if (positions.empty()) {
+    return InvalidArgumentError("monoid value function needs positions");
+  }
+  for (int position : positions) {
+    if (position < 0 || position >= q.arity()) {
+      return InvalidArgumentError("monoid position " +
+                                  std::to_string(position) +
+                                  " is not a head index of " + q.ToString());
+    }
+  }
+  if (q.HasSelfJoin()) {
+    return UnsupportedError("monoid Min/Max requires a self-join-free CQ");
+  }
+  if (!IsAllHierarchical(q)) {
+    return UnsupportedError("monoid Min/Max requires an all-hierarchical CQ: " +
+                            q.ToString());
+  }
+  if (is_max && kind == MonoidKind::kMin) {
+    return UnsupportedError("Max aggregation needs a non-decreasing monoid");
+  }
+  if (!is_max && kind == MonoidKind::kMax) {
+    return UnsupportedError("Min aggregation needs a non-increasing monoid");
+  }
+  return Status::Ok();
+}
+
+// Min(⊗ values) = −Max(⊗' negated values): negation keeps + and turns
+// min into max.
+MaxRowsStructure MonoidStructure(const ConjunctiveQuery& q, MonoidKind kind,
+                                 const std::vector<int>& positions,
+                                 bool is_max) {
+  MonoidKind dual = kind == MonoidKind::kMin ? MonoidKind::kMax : kind;
+  return MaxRowsStructure::Monoid(q, is_max ? kind : dual, positions,
+                                  /*negate=*/!is_max);
+}
+
+}  // namespace
+
+MaxRowsStructure::MaxRowsStructure(const ConjunctiveQuery& q,
+                                   const ValueFunction* tau, MonoidKind kind,
+                                   const std::vector<int>& positions,
+                                   bool negate)
+    : tau_(tau),
+      kind_(kind),
+      negate_(negate),
+      head_arity_(q.arity()),
+      key_(q, positions) {}
+
+MaxRowsStructure MaxRowsStructure::Localized(const ConjunctiveQuery& q,
+                                             const ValueFunction& tau,
+                                             bool negate) {
+  return MaxRowsStructure(q, &tau, MonoidKind::kMax, tau.DependsOn(), negate);
+}
+
+MaxRowsStructure MaxRowsStructure::Monoid(const ConjunctiveQuery& q,
+                                          MonoidKind kind,
+                                          const std::vector<int>& positions,
+                                          bool negate) {
+  return MaxRowsStructure(q, nullptr, kind, positions, negate);
+}
+
+MaxRowsStructure::Context MaxRowsStructure::Top() const {
+  Context ctx{key_.variables(),
+              Tuple(static_cast<size_t>(head_arity_), Value(0)), std::nullopt};
+  // A τ reading no position has one value for every answer.
+  if (tau_ != nullptr && ctx.scope.empty()) {
+    ctx.key = Signed(tau_->Evaluate(ctx.head));
+  }
+  return ctx;
+}
+
+MaxRows MaxRowsStructure::Leaf(const ConjunctiveQuery& q,
+                               const FactSubset& facts, const Context& ctx,
+                               Combinatorics* comb) const {
+  std::vector<BigInt> sat = SatisfactionCountsOnSubset(q, facts, comb);
+  MaxRows out;
+  out.num_endogenous = static_cast<int>(sat.size()) - 1;
+  if (!IsZero(sat)) out.rows.emplace(ctx.key, std::move(sat));
+  return out;
+}
+
+MaxRowsStructure::Context MaxRowsStructure::Bind(const Context& ctx,
+                                                 const std::string& x,
+                                                 const Value& a) const {
+  Context child = ctx;
+  const std::vector<int>* positions = key_.Bind(x, &child.scope);
+  if (positions == nullptr) return child;
+  for (int position : *positions) {
+    if (tau_ != nullptr) {
+      child.head[static_cast<size_t>(position)] = a;
+    } else {
+      child.key = Fold(kind_, child.key, Signed(a.AsRational()));
+    }
+  }
+  if (tau_ != nullptr && child.scope.empty()) {
+    child.key = Signed(tau_->Evaluate(child.head));
+  }
+  return child;
+}
+
+MaxRowsStructure::Context MaxRowsStructure::Component(
+    const Context& ctx, const ConjunctiveQuery& sub_q, bool first) const {
+  return {KeyScope::Within(ctx.scope, sub_q), ctx.head,
+          first ? ctx.key : std::nullopt};
+}
+
+MaxRows MaxRowsStructure::Union(const MaxRows& lhs, const MaxRows& rhs,
+                                Combinatorics* comb) const {
+  MaxRows out;
+  out.num_endogenous = lhs.num_endogenous + rhs.num_endogenous;
+  // Per side, the subsets whose maximum is ≤ the current key or that have
+  // no answers; before a side's own row is added, < the key.
+  std::vector<BigInt> lhs_le = NoAnswerCounts(lhs, comb);
+  std::vector<BigInt> rhs_le = NoAnswerCounts(rhs, comb);
+  auto l = lhs.rows.begin();
+  auto r = rhs.rows.begin();
+  while (l != lhs.rows.end() || r != rhs.rows.end()) {
+    const bool at_l =
+        l != lhs.rows.end() && (r == rhs.rows.end() || l->first <= r->first);
+    const bool at_r =
+        r != rhs.rows.end() && (l == lhs.rows.end() || r->first <= l->first);
+    const PartialValue& key = at_l ? l->first : r->first;
+    std::vector<BigInt> row(static_cast<size_t>(out.num_endogenous) + 1);
+    if (at_r) AddInto(&rhs_le, r->second);
+    // max = key: (lhs = key, rhs ≤ key or empty) or (lhs < key or empty,
+    // rhs = key).
+    if (at_l) AddInto(&row, Convolve(l->second, rhs_le));
+    if (at_r) AddInto(&row, Convolve(lhs_le, r->second));
+    if (at_l) AddInto(&lhs_le, l->second);
+    if (!IsZero(row)) out.rows.emplace_hint(out.rows.end(), key, std::move(row));
+    if (at_l) ++l;
+    if (at_r) ++r;
+  }
+  return out;
+}
+
+MaxRows MaxRowsStructure::Cross(const MaxRows& lhs, const MaxRows& rhs,
+                                Combinatorics*) const {
+  MaxRows out;
+  out.num_endogenous = lhs.num_endogenous + rhs.num_endogenous;
+  for (const auto& [lkey, lrow] : lhs.rows) {
+    for (const auto& [rkey, rrow] : rhs.rows) {
+      std::vector<BigInt> product = Convolve(lrow, rrow);
+      auto [it, inserted] =
+          out.rows.try_emplace(Fold(kind_, lkey, rkey), std::move(product));
+      if (!inserted) AddInto(&it->second, product);
+    }
+  }
+  return out;
+}
+
+MaxRows MaxRowsStructure::Pad(const MaxRows& p, int pad,
+                              Combinatorics* comb) const {
+  MaxRows out = p;
+  if (pad == 0) return out;
+  for (auto& [key, row] : out.rows) row = PadCounts(row, pad, comb);
+  out.num_endogenous += pad;
+  return out;
+}
+
+SumKSeries MaxRowsStructure::Series(const MaxRows& p) {
+  SumKSeries series(static_cast<size_t>(p.num_endogenous) + 1);
+  for (const auto& [key, row] : p.rows) {
+    SHAPCQ_CHECK(key.has_value());  // some component carries the value
+    for (size_t k = 0; k < series.size(); ++k) {
+      if (!row[k].is_zero()) series[k] += *key * Rational(row[k]);
+    }
+  }
   return series;
+}
+
+StatusOr<SumKSeries> MinMaxSumK(const AggregateQuery& a, const Database& db,
+                                const SolverOptions& /*options*/) {
+  Status shape = CheckMinMaxShape(a);
+  if (!shape.ok()) return shape;
+  const bool negate = a.alpha.kind() == AggKind::kMin;
+  return MaxSeries(MaxRowsStructure::Localized(a.query, *a.tau, negate),
+                   a.query, db, negate);
 }
 
 StatusOr<std::vector<std::pair<FactId, Rational>>> MinMaxScoreAll(
     const AggregateQuery& a, const Database& db,
     const SolverOptions& options) {
-  // The gates of MinMaxSumK, in the same order, so the batch fails exactly
-  // where the per-fact path would.
-  if (a.alpha.kind() != AggKind::kMin && a.alpha.kind() != AggKind::kMax) {
-    return UnsupportedError("MinMaxSumK handles Min and Max only");
-  }
-  if (a.query.HasSelfJoin()) {
-    return UnsupportedError("Min/Max requires a self-join-free CQ");
-  }
-  if (!IsAllHierarchical(a.query)) {
-    return UnsupportedError("Min/Max requires an all-hierarchical CQ: " +
-                            a.query.ToString());
-  }
-  if (a.alpha.kind() == AggKind::kMax) return MaxScoreAll(a, db, options);
-  // Min(B) = −Max(−B): the negation commutes with the (linear) score
-  // combination, so negating each fact's Max score under −τ reproduces the
-  // per-fact Min values exactly.
-  AggregateQuery negated{
-      a.query,
-      MakeComposedTau([](const Rational& v) { return -v; }, a.tau, "negate"),
-      AggregateFunction::Max()};
-  StatusOr<std::vector<std::pair<FactId, Rational>>> scores =
-      MaxScoreAll(negated, db, options);
-  if (!scores.ok()) return scores.status();
-  for (auto& [fact, score] : *scores) score = -score;
-  return scores;
+  Status shape = CheckMinMaxShape(a);
+  if (!shape.ok()) return shape;
+  const bool negate = a.alpha.kind() == AggKind::kMin;
+  return MaxScores(MaxRowsStructure::Localized(a.query, *a.tau, negate),
+                   a.query, db, negate, options);
 }
 
 void RegisterMinMaxEngine(EngineRegistry& registry) {
@@ -669,6 +305,43 @@ void RegisterMinMaxEngine(EngineRegistry& registry) {
   provider.sum_k = MinMaxSumK;
   provider.score_all = MinMaxScoreAll;
   registry.Register(std::move(provider));
+}
+
+ValueFunctionPtr MakeMonoidTau(MonoidKind kind, std::vector<int> positions) {
+  SHAPCQ_CHECK(!positions.empty());
+  const char* name = kind == MonoidKind::kPlus  ? "plus"
+                     : kind == MonoidKind::kMax ? "max"
+                                                : "min";
+  std::vector<int> captured = positions;
+  return MakeCallbackTau(
+      [kind, captured](const Tuple& t) {
+        PartialValue acc;
+        for (int position : captured) {
+          acc = Fold(kind, acc,
+                     t[static_cast<size_t>(position)].AsRational());
+        }
+        return *acc;
+      },
+      std::move(positions), std::string("monoid-") + name);
+}
+
+StatusOr<SumKSeries> MonoidMinMaxSumK(const ConjunctiveQuery& q,
+                                      MonoidKind kind,
+                                      std::vector<int> positions, bool is_max,
+                                      const Database& db) {
+  Status shape = CheckMonoidShape(q, kind, positions, is_max);
+  if (!shape.ok()) return shape;
+  return MaxSeries(MonoidStructure(q, kind, positions, is_max), q, db,
+                   !is_max);
+}
+
+StatusOr<std::vector<std::pair<FactId, Rational>>> MinMaxMonoidScoreAll(
+    const ConjunctiveQuery& q, MonoidKind kind, std::vector<int> positions,
+    bool is_max, const Database& db, const SolverOptions& options) {
+  Status shape = CheckMonoidShape(q, kind, positions, is_max);
+  if (!shape.ok()) return shape;
+  return MaxScores(MonoidStructure(q, kind, positions, is_max), q, db,
+                   !is_max, options);
 }
 
 }  // namespace shapcq

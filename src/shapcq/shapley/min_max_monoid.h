@@ -12,7 +12,7 @@
 // that SOME restriction on τ is necessary: a poly-time but non-monotone τ
 // makes even Max over a Cartesian product FP^#P-hard.) This module
 // implements that extension, promised by the paper for its extended
-// version.
+// version, on the keyed-rows Max structure of min_max.h.
 
 #ifndef SHAPCQ_SHAPLEY_MIN_MAX_MONOID_H_
 #define SHAPCQ_SHAPLEY_MIN_MAX_MONOID_H_
@@ -23,18 +23,12 @@
 #include "shapcq/agg/value_function.h"
 #include "shapcq/data/database.h"
 #include "shapcq/query/cq.h"
+#include "shapcq/shapley/min_max.h"
 #include "shapcq/shapley/score.h"
 #include "shapcq/shapley/solver_options.h"
 #include "shapcq/util/status.h"
 
 namespace shapcq {
-
-// The supported monotone monoids over rationals.
-enum class MonoidKind {
-  kPlus,  // a ⊗ b = a + b   (identity 0; non-decreasing)
-  kMax,   // a ⊗ b = max(a,b) (non-decreasing)
-  kMin,   // a ⊗ b = min(a,b) (non-increasing: valid for Min aggregation)
-};
 
 // τ(t) = t[p1] ⊗ t[p2] ⊗ ... over the given (possibly non-localized) head
 // positions; used for evaluation and brute-force cross-checks.
@@ -42,24 +36,20 @@ ValueFunctionPtr MakeMonoidTau(MonoidKind kind, std::vector<int> positions);
 
 // sum_k series for Max ∘ (⊗ over positions) ∘ Q (is_max) or the dual
 // Min ∘ (⊗ over positions) ∘ Q. Requirements: Q self-join-free and
-// all-hierarchical; positions non-empty head indices; for Max the monoid
-// must be non-decreasing (kPlus or kMax), for Min non-increasing in the
-// dual sense (kPlus or kMin).
+// all-hierarchical; positions non-empty head indices (INVALID_ARGUMENT
+// otherwise); for Max the monoid must be non-decreasing (kPlus or kMax),
+// for Min non-increasing in the dual sense (kPlus or kMin).
 StatusOr<SumKSeries> MonoidMinMaxSumK(const ConjunctiveQuery& q,
                                       MonoidKind kind,
                                       std::vector<int> positions, bool is_max,
                                       const Database& db);
 
 // Batched all-facts scorer for the monoid engine, with the same gates as
-// MonoidMinMaxSumK. Mirrors SumCountScoreAll's batching: the relevance
-// split and (for Min) the value-negated dual database are built once, and
-// each fact's derived databases F (fact exogenous) / G (fact removed) are
-// an endogenous-flag flip and a subset drop on a worker-private copy —
-// the per-fact path instead copies and (for Min) re-negates the database
-// 2n times. Query-irrelevant facts score an exact 0 without running the
-// DP. Shards over options.num_threads (options.score selects
-// Shapley/Banzhaf); values are bitwise-identical to per-fact ScoreViaSumK
-// over MonoidMinMaxSumK for every thread count.
+// MonoidMinMaxSumK: one leave-one-out pass of the hierarchical DP
+// (hierarchical_dp.h), facts irrelevant to the query scoring an exact 0.
+// Shards the per-fact assembly over options.num_threads (options.score
+// selects Shapley/Banzhaf); values are bitwise-identical to per-fact
+// ScoreViaSumK over MonoidMinMaxSumK for every thread count.
 StatusOr<std::vector<std::pair<FactId, Rational>>> MinMaxMonoidScoreAll(
     const ConjunctiveQuery& q, MonoidKind kind, std::vector<int> positions,
     bool is_max, const Database& db, const SolverOptions& options = {});

@@ -9,6 +9,7 @@
 #include "shapcq/query/evaluator.h"
 #include "shapcq/shapley/dp_util.h"
 #include "shapcq/shapley/engine_registry.h"
+#include "shapcq/shapley/hierarchical_dp.h"
 #include "shapcq/shapley/membership.h"
 #include "shapcq/util/check.h"
 #include "shapcq/util/combinatorics.h"
@@ -47,6 +48,17 @@ ConjunctiveQuery BindAnswer(const ConjunctiveQuery& q, const Tuple& answer) {
   }
   SHAPCQ_CHECK(q_t.is_boolean());
   return q_t;
+}
+
+// acc += part, element-wise; an empty series is zero.
+template <typename T>
+void AddSeries(std::vector<T>* acc, std::vector<T>&& part) {
+  if (part.empty()) return;
+  if (acc->empty()) {
+    *acc = std::move(part);
+    return;
+  }
+  for (size_t k = 0; k < acc->size(); ++k) (*acc)[k] += part[k];
 }
 
 }  // namespace
@@ -133,7 +145,7 @@ StatusOr<std::vector<std::pair<FactId, Rational>>> SumCountScoreAll(
 
   // Shard the per-answer accumulation: worker c owns the contiguous answer
   // chunk [c·size/C, (c+1)·size/C), a private mutable database copy (the
-  // per-fact F_f flag flip must not race), a private Combinatorics cache,
+  // leave-one-out pass flips flags on it), a private Combinatorics cache,
   // and a private delta map. Chunk boundaries depend only on the answer
   // count, never on scheduling.
   const int num_chunks = EffectiveThreadCount(
@@ -146,8 +158,9 @@ StatusOr<std::vector<std::pair<FactId, Rational>>> SumCountScoreAll(
             ChunkBounds(static_cast<int64_t>(tasks.size()), num_chunks, c);
         const size_t begin = static_cast<size_t>(chunk_begin);
         const size_t end = static_cast<size_t>(chunk_end);
-        Database work = db;  // F_f is an O(1) flag flip on the private copy
+        Database work = db;  // leaf variants flip flags on the private copy
         Combinatorics comb;
+        const SatisfactionStructure satisfaction{};
         DeltaMap& delta = chunk_delta[static_cast<size_t>(c)];
         for (size_t t = begin; t < end; ++t) {
           const ConjunctiveQuery& q_t = tasks[t].q_t;
@@ -161,38 +174,31 @@ StatusOr<std::vector<std::pair<FactId, Rational>>> SumCountScoreAll(
           // lists — O(matching facts) per answer, not a database scan.
           RelevanceSplit split = SplitRelevantIndexed(q_t, work);
           const int pad = split.irrelevant_endogenous;
-          for (FactId f : split.relevant.EndogenousFacts()) {
-            // F_f: f exogenous; same relevant subset, one flag flipped.
-            work.SetEndogenous(f, false);
-            std::vector<BigInt> counts_f =
-                SatisfactionCountsOnSubset(q_t, split.relevant, &comb);
-            // G_f: f removed; the flag no longer matters, only the subset.
-            FactSubset without;
-            without.db = &work;
-            without.facts.reserve(split.relevant.facts.size() - 1);
-            for (FactId id : split.relevant.facts) {
-              if (id != f) without.facts.push_back(id);
+          // One leave-one-out pass: the unsatisfying counts u of the
+          // relevant facts and u_f of each F_f. With G_f from the
+          // partition identity u[k] = u_G[k] + u_f[k−1], the satisfying
+          // difference c_k(F_f) − c_k(G_f) is u[k] − u_f[k] − u_f[k−1].
+          LeaveOneOut<std::vector<BigInt>> loo =
+              HierarchicalDp<SatisfactionStructure>(satisfaction, &comb)
+                  .SolveLeaveOneOut(q_t, split.relevant, {}, &work);
+          for (auto& [f, minus] : loo.minus) {
+            std::vector<BigInt> diff(minus.size());
+            for (size_t k = 0; k < diff.size(); ++k) {
+              diff[k] = loo.full[k] - minus[k];
+              if (k > 0) diff[k] -= minus[k - 1];
             }
-            std::vector<BigInt> counts_g =
-                SatisfactionCountsOnSubset(q_t, without, &comb);
-            work.SetEndogenous(f, true);
-            std::vector<BigInt> diff = SubtractCounts(counts_f, counts_g);
             diff = PadCounts(diff, pad, &comb);
             SHAPCQ_CHECK(static_cast<int64_t>(diff.size()) == n);
             DeltaSeries& acc = delta[f];
             if (weight.is_integer()) {
-              if (acc.integral.empty()) {
-                acc.integral.assign(static_cast<size_t>(n), CountValue());
-              }
+              acc.integral.resize(static_cast<size_t>(n));
               for (size_t k = 0; k < diff.size(); ++k) {
                 if (!diff[k].is_zero()) {
                   acc.integral[k].AddProduct(weight_cv, diff[k]);
                 }
               }
             } else {
-              if (acc.fractional.empty()) {
-                acc.fractional.assign(static_cast<size_t>(n), Rational());
-              }
+              acc.fractional.resize(static_cast<size_t>(n));
               for (size_t k = 0; k < diff.size(); ++k) {
                 if (!diff[k].is_zero()) {
                   acc.fractional[k] += weight * Rational(diff[k]);
@@ -209,31 +215,11 @@ StatusOr<std::vector<std::pair<FactId, Rational>>> SumCountScoreAll(
   // same terms produces the same canonical Rational, so the result is
   // bitwise-identical to the serial accumulation for every thread count.
   DeltaMap delta;
-  if (num_chunks == 1) {
-    delta = std::move(chunk_delta[0]);
-  } else {
-    for (DeltaMap& part : chunk_delta) {
-      for (auto& [f, d] : part) {
-        DeltaSeries& acc = delta[f];
-        if (!d.integral.empty()) {
-          if (acc.integral.empty()) {
-            acc.integral = std::move(d.integral);
-          } else {
-            for (size_t k = 0; k < acc.integral.size(); ++k) {
-              acc.integral[k] += d.integral[k];
-            }
-          }
-        }
-        if (!d.fractional.empty()) {
-          if (acc.fractional.empty()) {
-            acc.fractional = std::move(d.fractional);
-          } else {
-            for (size_t k = 0; k < acc.fractional.size(); ++k) {
-              acc.fractional[k] += d.fractional[k];
-            }
-          }
-        }
-      }
+  for (DeltaMap& part : chunk_delta) {
+    for (auto& [f, d] : part) {
+      DeltaSeries& acc = delta[f];
+      AddSeries(&acc.integral, std::move(d.integral));
+      AddSeries(&acc.fractional, std::move(d.fractional));
     }
   }
 

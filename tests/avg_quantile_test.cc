@@ -16,6 +16,7 @@
 #include "shapcq/shapley/closed_forms.h"
 #include "shapcq/shapley/score.h"
 #include "shapcq/workload/generators.h"
+#include "tests/support/avg_quantile_oracle.h"
 
 namespace shapcq {
 namespace {

@@ -173,6 +173,26 @@ TEST(MonoidMinMaxTest, RejectsInvalidCombos) {
                    .ok());
 }
 
+TEST(MonoidMinMaxTest, RejectsPositionsOutsideTheHead) {
+  ConjunctiveQuery q = MustParseQuery("Q(x, z) <- R(x), T(z)");
+  Database db;
+  db.AddEndogenous("R", {Value(1)});
+  db.AddEndogenous("T", {Value(2)});
+  for (bool is_max : {true, false}) {
+    for (int bad : {-1, q.arity()}) {
+      std::vector<int> positions = {0, bad};
+      auto series =
+          MonoidMinMaxSumK(q, MonoidKind::kPlus, positions, is_max, db);
+      ASSERT_FALSE(series.ok());
+      EXPECT_EQ(series.status().code(), StatusCode::kInvalidArgument);
+      auto scores = MinMaxMonoidScoreAll(q, MonoidKind::kPlus, positions,
+                                         is_max, db);
+      ASSERT_FALSE(scores.ok());
+      EXPECT_EQ(scores.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+}
+
 TEST(MonoidMinMaxTest, ShapleyScoresThroughMonoidEngine) {
   ConjunctiveQuery q = MustParseQuery("Q(x, z) <- R(x), T(z)");
   RandomDatabaseOptions options;

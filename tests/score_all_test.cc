@@ -197,9 +197,8 @@ TEST(MinMaxMonoidScoreAllTest, MatchesPerFactOnCrossProduct) {
 }
 
 TEST(MinMaxMonoidScoreAllTest, MatchesPerFactOnConnectedQuery) {
-  // Connected all-hierarchical query: the top level is a root split, not
-  // a cross product, so this exercises the generic leave-one-out path
-  // instead of the pushed-functional cross specialization.
+  // Connected all-hierarchical query: the top level of the leave-one-out
+  // pass is a root split, not a cross product.
   ConjunctiveQuery q = MustParseQuery("Q(x, y) <- R(x, y), S(y)");
   Database db;
   for (int i = 0; i < 5; ++i) {

@@ -1,4 +1,4 @@
-#include "shapcq/shapley/game.h"
+#include "tests/support/game.h"
 
 #include <set>
 

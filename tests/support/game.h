@@ -7,8 +7,8 @@
 // enumeration — the reference semantics every reduction is checked against —
 // plus the axioms as predicates for property tests.
 
-#ifndef SHAPCQ_SHAPLEY_GAME_H_
-#define SHAPCQ_SHAPLEY_GAME_H_
+#ifndef SHAPCQ_TESTS_SUPPORT_GAME_H_
+#define SHAPCQ_TESTS_SUPPORT_GAME_H_
 
 #include <cstdint>
 #include <functional>
@@ -60,4 +60,4 @@ CooperativeGame SetCoverGame(int universe_size,
 
 }  // namespace shapcq
 
-#endif  // SHAPCQ_SHAPLEY_GAME_H_
+#endif  // SHAPCQ_TESTS_SUPPORT_GAME_H_

@@ -1,4 +1,4 @@
-#include "shapcq/workload/transfer.h"
+#include "tests/support/transfer.h"
 
 #include <algorithm>
 #include <set>

@@ -19,8 +19,8 @@
 //   so that the value function γ ∘ τ_id^i becomes τ_id^i — the mechanism
 //   behind "hardness is robust to monotone changes of the value function".
 
-#ifndef SHAPCQ_WORKLOAD_TRANSFER_H_
-#define SHAPCQ_WORKLOAD_TRANSFER_H_
+#ifndef SHAPCQ_TESTS_SUPPORT_TRANSFER_H_
+#define SHAPCQ_TESTS_SUPPORT_TRANSFER_H_
 
 #include <functional>
 #include <vector>
@@ -67,4 +67,4 @@ Database ApplyMonotoneMap(const ConjunctiveQuery& q, int head_index,
 
 }  // namespace shapcq
 
-#endif  // SHAPCQ_WORKLOAD_TRANSFER_H_
+#endif  // SHAPCQ_TESTS_SUPPORT_TRANSFER_H_
