@@ -234,7 +234,9 @@ MaxRows MaxRowsStructure::Union(const MaxRows& lhs, const MaxRows& rhs,
     if (at_l) AddInto(&row, Convolve(l->second, rhs_le));
     if (at_r) AddInto(&row, Convolve(lhs_le, r->second));
     if (at_l) AddInto(&lhs_le, l->second);
-    if (!IsZero(row)) out.rows.emplace_hint(out.rows.end(), key, std::move(row));
+    if (!IsZero(row)) {
+      out.rows.emplace_hint(out.rows.end(), key, std::move(row));
+    }
     if (at_l) ++l;
     if (at_r) ++r;
   }
