@@ -35,15 +35,16 @@
 //
 // Leave-one-out. Next to the structure of the full fact subset, one pass
 // yields the structure of every derived database F_f (endogenous fact f
-// made exogenous, one coalition size narrower). Each fact lives in exactly
-// one slice of a root split and one component of a cross product, so its
-// variant is prefix ∘ variant ∘ suffix of the combined siblings — one or
-// two combines per ancestor instead of a fresh solve. At a leaf the
-// variant is the leaf re-solved with the fact's flag flipped on a work
-// copy of the database; a padding fact's variant is the combined structure
-// with one padding fact fewer. Structures count subsets with exact
-// integers, so any combine grouping yields the identical structure. All n
-// variants are resident at once (O(n²) counts at the top node).
+// made exogenous, one coalition size narrower). Each fact lives in at most
+// one slice of a root split and exactly one component of a cross product,
+// so its variant is prefix ∘ variant ∘ suffix of the combined siblings —
+// one or two combines per ancestor instead of a fresh solve. At a leaf
+// the variant is the leaf re-solved with the fact's flag flipped on a work
+// copy of the database; a fact in no slice pads the split, and its variant
+// is the combined structure with one padding fact fewer. Structures count
+// subsets with exact integers, so any combine grouping yields the
+// identical structure. All n variants are resident at once (O(n²) counts
+// at the top node).
 //
 // The batched all-facts shell (ScoreAllLeaveOneOut) turns one pass into
 // every fact's score: G_f (f removed) follows from the partition identity
@@ -299,8 +300,8 @@ typename S::P SolveWholeDatabase(const S& structure, const ConjunctiveQuery& q,
 //  * Facts irrelevant to q leave every answer set unchanged, so their F
 //    and G series coincide and the score is an exact 0.
 // Per-fact assembly shards over contiguous fact chunks with worker-private
-// binomial caches; slot i holds fact i, so values do not depend on
-// options.num_threads.
+// binomial caches; slot i holds the i-th endogenous fact, so values do
+// not depend on options.num_threads.
 template <typename S>
 std::vector<std::pair<FactId, Rational>> ScoreAllLeaveOneOut(
     const S& structure, const ConjunctiveQuery& q,
