@@ -1,17 +1,12 @@
-// Experiment E10: the counting core, microbenched layer by layer.
+// Experiment E10: the counting core, microbenched.
 //
-// (a) Circuit model counting: the production CountModelsBySize (arena
-//     spans + fixed-width CountValue integers) against an in-bench
-//     baseline that replays the pre-arena design — one heap vector per
-//     node and pure-BigInt weight polynomials. Both run on the *same*
-//     compiled circuit and the results are asserted bitwise identical, so
-//     the table isolates the memory-layout/arithmetic win with zero
-//     algorithmic difference. Target: >= 2x.
-//
-// (b) Posting-list intersection: the dispatching IntersectPostings (SIMD
-//     block kernel + galloping for skewed pairs, when SHAPCQ_SIMD is on)
-//     against the always-compiled scalar galloping oracle, again with
-//     results asserted identical.
+// Circuit model counting: the production CountModelsBySize (arena spans +
+// fixed-width CountValue integers) against an in-bench baseline that
+// replays the pre-arena design — one heap vector per node and pure-BigInt
+// weight polynomials. Both run on the *same* compiled circuit and the
+// results are asserted bitwise identical, so the table isolates the
+// memory-layout/arithmetic win with zero algorithmic difference.
+// Target: >= 2x.
 //
 // Alloc telemetry (bench_util.h's counting operator new) shows how many
 // heap bytes each side touches — the arena/fixed-width point is that the
@@ -21,11 +16,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <random>
 #include <vector>
 
 #include "bench_util.h"
-#include "shapcq/data/column_store.h"
 #include "shapcq/lineage/circuit.h"
 #include "shapcq/util/bigint.h"
 #include "shapcq/util/combinatorics.h"
@@ -283,18 +276,6 @@ std::vector<std::vector<int>> BlockChainDnf(int groups, int block,
   return clauses;
 }
 
-std::vector<FactId> MakePostings(int len, int stride, uint32_t seed) {
-  std::mt19937 rng(seed);
-  std::vector<FactId> out;
-  out.reserve(static_cast<size_t>(len));
-  FactId v = 0;
-  for (int i = 0; i < len; ++i) {
-    v += 1 + static_cast<FactId>(rng() % static_cast<uint32_t>(stride));
-    out.push_back(v);
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -383,58 +364,8 @@ int main(int argc, char** argv) {
   bench::Rule();
   std::printf("worst-case speedup across configs: %.2fx (target >= 2x)\n\n",
               worst_speedup);
-
-  // --- posting intersection ----------------------------------------------
-  std::printf("posting intersection: dispatched kernel vs scalar galloping "
-              "oracle (simd available: %s)\n",
-              SimdIntersectionAvailable() ? "yes" : "no");
-  bench::Rule('=');
-  std::printf("%22s %12s %12s %10s\n", "shape", "simd (ms)", "scalar (ms)",
-              "speedup");
-  bench::Rule();
-  struct Shape {
-    const char* name;
-    int len_a, stride_a, len_b, stride_b;
-  };
-  const int scale = args.smoke ? 1 : 64;
-  const std::vector<Shape> shapes = {
-      {"dense/dense", 4000 * scale, 2, 4000 * scale, 2},
-      {"dense/sparse 8:1", 500 * scale, 16, 4000 * scale, 2},
-      {"skewed 100:1", 40 * scale, 200, 4000 * scale, 2},
-  };
-  const int irepetitions = args.smoke ? 2 : 20;
-  for (const Shape& shape : shapes) {
-    std::vector<FactId> a = MakePostings(shape.len_a, shape.stride_a, 101);
-    std::vector<FactId> b = MakePostings(shape.len_b, shape.stride_b, 202);
-    std::vector<const std::vector<FactId>*> lists = {&a, &b};
-    std::vector<FactId> dispatched;
-    std::vector<FactId> scalar;
-    double simd_ms = bench::TimeMs([&] {
-      for (int r = 0; r < irepetitions; ++r) {
-        dispatched = IntersectPostings(lists);
-      }
-    });
-    double scalar_ms = bench::TimeMs([&] {
-      for (int r = 0; r < irepetitions; ++r) {
-        scalar = IntersectPostingsScalar(lists);
-      }
-    });
-    if (dispatched != scalar) std::abort();  // oracle disagreement
-    std::printf("%22s %12.3f %12.3f %9.2fx\n", shape.name, simd_ms,
-                scalar_ms, scalar_ms / simd_ms);
-    bench::JsonLine("counting_core_intersection")
-        .Str("shape", shape.name)
-        .Bool("simd_available", SimdIntersectionAvailable())
-        .Int("result_len", static_cast<long long>(scalar.size()))
-        .Num("dispatched_ms", simd_ms)
-        .Num("scalar_ms", scalar_ms)
-        .Num("speedup", scalar_ms / simd_ms)
-        .Emit();
-  }
-  bench::Rule('=');
   std::printf("E10 result: the arena + fixed-width counting pass should be "
               ">= 2x the pointer/BigInt baseline with a fraction of the "
-              "heap traffic; the SIMD kernel wins on dense pairs and defers "
-              "to galloping on skewed ones.\n");
+              "heap traffic.\n");
   return 0;
 }

@@ -15,8 +15,8 @@
 // carries a sealed-row watermark: rows at index < sealed_rows are the
 // compacted "base" segment, rows past it are the "delta" segment appended
 // since the last Compact/Seal. Because ids ascend and are never reused,
-// base ++ delta is one sorted vector, so the galloping/SIMD intersection
-// kernels consume the merged base+delta view with zero merge cost — the
+// base ++ delta is one sorted vector, so the galloping intersection
+// consumes the merged base+delta view with zero merge cost — the
 // watermark only tracks how much unsealed churn has accumulated.
 
 #ifndef SHAPCQ_DATA_COLUMN_STORE_H_
@@ -98,35 +98,12 @@ class ColumnStore {
 };
 
 // Intersects ascending posting lists; `lists` must be non-empty and the
-// result is ascending. Dispatches per pair of lists: comparable lengths go
-// through a branch-light SIMD block-compare kernel (SSE2 on x86-64, NEON
-// on AArch64 — both baseline, no -march flags) when the build enables
-// SHAPCQ_SIMD; heavily skewed pairs and non-SIMD builds use galloping
-// (exponential) search, which costs O(small · log(large)).
+// result is ascending. The smallest list drives galloping (exponential)
+// probes into the others, so a multiway intersection costs
+// O(small · Σ log(other)). Tombstoned ids still present in the lists are
+// returned; callers filter them with Database::live.
 std::vector<FactId> IntersectPostings(
     std::vector<const std::vector<FactId>*> lists);
-
-// The scalar galloping implementation, always compiled: the differential
-// oracle for the SIMD kernel and the fallback on every platform.
-std::vector<FactId> IntersectPostingsScalar(
-    std::vector<const std::vector<FactId>*> lists);
-
-// True when IntersectPostings can take the SIMD path in this build
-// (SHAPCQ_SIMD enabled and a supported instruction set detected).
-bool SimdIntersectionAvailable();
-
-// The block kernel IntersectPostings actually runs on this machine:
-// "avx2" (runtime-dispatched 8-lane), "sse2", "neon", or "scalar".
-const char* SimdIntersectionKernelName();
-
-// Tombstone-aware intersection: IntersectPostings, then ids marked in
-// `dead` (indexed by FactId; ids at or past dead.size() are live) are
-// dropped from the result. Callers pass the Database's tombstone bitset so
-// posting lists that still carry deleted ids (before compaction) never
-// surface them to the join.
-std::vector<FactId> IntersectPostingsLive(
-    std::vector<const std::vector<FactId>*> lists,
-    const std::vector<char>& dead);
 
 }  // namespace shapcq
 

@@ -113,9 +113,6 @@ class Database {
     return id >= 0 && id < num_facts() && dead_[static_cast<size_t>(id)] == 0;
   }
   bool has_tombstones() const { return num_dead_ > 0; }
-  // The tombstone bitset, dense by FactId (1 = dead): what the
-  // live-filtering intersection kernels consume.
-  const std::vector<char>& dead() const { return dead_; }
   // Live facts (the id space minus tombstones).
   int num_live() const { return num_facts() - num_dead_; }
 

@@ -188,9 +188,7 @@ class IdJoin {
     }
     if (lists_.empty()) return db_.FactsOf(atom.relation);
     if (lists_.size() == 1) return *lists_[0];
-    scratch_[atom_index] = has_tombstones_
-                               ? IntersectPostingsLive(lists_, db_.dead())
-                               : IntersectPostings(lists_);
+    scratch_[atom_index] = IntersectPostings(lists_);
     return scratch_[atom_index];
   }
 
@@ -237,7 +235,8 @@ class IdJoin {
     done_[chosen] = true;
     std::vector<int> introduced;
     for (FactId fact : candidates) {
-      // Posting lists keep tombstoned ids until compaction; skip them.
+      // Posting lists (and so their intersections) keep tombstoned ids
+      // until compaction; skip them.
       if (has_tombstones_ && !db_.live(fact)) continue;
       introduced.clear();
       if (Match(chosen, fact, &introduced)) {

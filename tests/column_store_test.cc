@@ -153,19 +153,31 @@ TEST(IntersectPostingsTest, MatchesSetIntersection) {
   EXPECT_TRUE(IntersectPostings({&dense, &empty}).empty());
 }
 
-// Adversarial cases run against BOTH kernels: the dispatching
-// IntersectPostings (SIMD when the build enables it) and the scalar
-// galloping oracle must agree element-for-element on every shape that
-// stresses a different code path — skewed lengths (galloping cutover),
-// dense runs (block-of-4 advance), empty/singleton lists, all-match and
-// no-match, and interleavings that alternate which stream advances.
-TEST(IntersectPostingsTest, SimdAndScalarAgreeOnAdversarialShapes) {
-  auto expect_both = [](std::vector<const std::vector<FactId>*> lists,
-                        const char* label) {
-    std::vector<FactId> simd = IntersectPostings(lists);
-    std::vector<FactId> scalar = IntersectPostingsScalar(lists);
-    EXPECT_EQ(simd, scalar) << label;
-    EXPECT_TRUE(std::is_sorted(simd.begin(), simd.end())) << label;
+// The independent reference: a left fold of std::set_intersection over the
+// lists in the order given.
+std::vector<FactId> SetIntersectionFold(
+    const std::vector<const std::vector<FactId>*>& lists) {
+  std::vector<FactId> acc = *lists.front();
+  for (size_t i = 1; i < lists.size(); ++i) {
+    std::vector<FactId> next;
+    std::set_intersection(acc.begin(), acc.end(), lists[i]->begin(),
+                          lists[i]->end(), std::back_inserter(next));
+    acc = std::move(next);
+  }
+  return acc;
+}
+
+// Adversarial shapes, each stressing a different step of the galloping
+// kernel, checked element-for-element against the set_intersection fold:
+// skewed lengths (long gallops), dense runs (one-step gallops),
+// empty/singleton lists, all-match and no-match, and interleavings that
+// alternate which stream advances.
+TEST(IntersectPostingsTest, AdversarialShapesMatchSetIntersection) {
+  auto expect_matches = [](std::vector<const std::vector<FactId>*> lists,
+                           const char* label) {
+    std::vector<FactId> got = IntersectPostings(lists);
+    EXPECT_EQ(got, SetIntersectionFold(lists)) << label;
+    EXPECT_TRUE(std::is_sorted(got.begin(), got.end())) << label;
   };
 
   std::vector<FactId> empty;
@@ -176,10 +188,9 @@ TEST(IntersectPostingsTest, SimdAndScalarAgreeOnAdversarialShapes) {
   for (FactId i = 0; i < 4096; i += 2) evens.push_back(i);
   std::vector<FactId> odds;
   for (FactId i = 1; i < 4096; i += 2) odds.push_back(i);
-  // Heavily skewed: 3 probes into 4096 elements (ratio past the SIMD
-  // kernel's galloping cutover).
+  // Heavily skewed: 3 probes into 4096 elements.
   std::vector<FactId> sparse = {5, 2047, 4095};
-  // Just under / over the skew limit around a ragged tail.
+  // Moderate skew (ratio 31) around a ragged tail.
   std::vector<FactId> mid;
   for (FactId i = 0; i < 4096; i += 31) mid.push_back(i);
   // Runs: long stretches present in both, separated by disjoint gaps.
@@ -193,19 +204,19 @@ TEST(IntersectPostingsTest, SimdAndScalarAgreeOnAdversarialShapes) {
     }
   }
 
-  expect_both({&empty, &dense}, "empty vs dense");
-  expect_both({&singleton, &dense}, "singleton hit");
-  expect_both({&singleton, &odds}, "singleton miss");
-  expect_both({&dense, &dense}, "all-match identical");
-  expect_both({&evens, &odds}, "no-match interleaved");
-  expect_both({&sparse, &dense}, "skewed 3 vs 4096");
-  expect_both({&mid, &dense}, "moderate skew, ragged tail");
-  expect_both({&runs_a, &runs_b}, "dense runs with gaps");
-  expect_both({&evens, &dense, &mid}, "three-way");
-  expect_both({&sparse, &evens, &runs_b, &dense}, "four-way mixed skew");
+  expect_matches({&empty, &dense}, "empty vs dense");
+  expect_matches({&singleton, &dense}, "singleton hit");
+  expect_matches({&singleton, &odds}, "singleton miss");
+  expect_matches({&dense, &dense}, "all-match identical");
+  expect_matches({&evens, &odds}, "no-match interleaved");
+  expect_matches({&sparse, &dense}, "skewed 3 vs 4096");
+  expect_matches({&mid, &dense}, "moderate skew, ragged tail");
+  expect_matches({&runs_a, &runs_b}, "dense runs with gaps");
+  expect_matches({&evens, &dense, &mid}, "three-way");
+  expect_matches({&sparse, &evens, &runs_b, &dense}, "four-way mixed skew");
 
-  // Randomized sweep over lengths straddling the 4-lane block width and
-  // the galloping cutover, checked against std::set_intersection.
+  // Randomized sweep: a short (<= 9) or long (<= 600) list against a
+  // long one of a different density.
   std::mt19937 rng(4242);
   for (int trial = 0; trial < 300; ++trial) {
     auto random_list = [&rng](size_t max_len, int stride) {
@@ -220,53 +231,41 @@ TEST(IntersectPostingsTest, SimdAndScalarAgreeOnAdversarialShapes) {
     };
     std::vector<FactId> a = random_list(rng() % 2 ? 9 : 600, 3);
     std::vector<FactId> b = random_list(600, 7);
-    std::vector<FactId> expected;
-    std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                          std::back_inserter(expected));
-    EXPECT_EQ(IntersectPostings({&a, &b}), expected) << "trial " << trial;
-    EXPECT_EQ(IntersectPostingsScalar({&a, &b}), expected)
+    EXPECT_EQ(IntersectPostings({&a, &b}), SetIntersectionFold({&a, &b}))
         << "trial " << trial;
   }
 }
 
-// Shapes aimed at the 8-lane AVX2 widening: lengths straddling multiples
-// of 8 (block boundary vs scalar tail), matches in every lane position of
-// an 8-block, and a match sitting exactly on the last element before the
-// tail. The scalar galloping path is the oracle throughout; on machines
-// or builds without AVX2 the same cases exercise the 4-lane/NEON or
-// scalar kernels, so the test is meaningful everywhere.
-TEST(IntersectPostingsTest, WideBlockBoundariesMatchScalarOracle) {
-  SCOPED_TRACE(std::string("kernel: ") + SimdIntersectionKernelName());
-  auto expect_both = [](const std::vector<FactId>& a,
-                        const std::vector<FactId>& b, const char* label) {
-    std::vector<FactId> expected;
-    std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                          std::back_inserter(expected));
-    EXPECT_EQ(IntersectPostings({&a, &b}), expected) << label;
-    EXPECT_EQ(IntersectPostingsScalar({&a, &b}), expected) << label;
+// Short-list boundaries: a single match at each of the first eight
+// positions, every length from 1 to 26, and a match on the last and on
+// the second-to-last element. The set_intersection fold is the oracle.
+TEST(IntersectPostingsTest, ShortListBoundariesMatchSetIntersection) {
+  auto expect_matches = [](const std::vector<FactId>& a,
+                           const std::vector<FactId>& b, const char* label) {
+    EXPECT_EQ(IntersectPostings({&a, &b}), SetIntersectionFold({&a, &b}))
+        << label;
   };
 
-  // One match per lane position of the first 8-block.
+  // One match per position of the first eight elements.
   for (FactId lane = 0; lane < 8; ++lane) {
     std::vector<FactId> b;
     for (FactId i = 0; i < 24; ++i) b.push_back(i * 2);
     std::vector<FactId> a = {static_cast<FactId>(lane * 2)};
-    expect_both(a, b, "single match per lane");
+    expect_matches(a, b, "single match per position");
   }
-  // Lengths 1..26 cover |b| mod 8 in every residue, with the driving list
-  // dense enough that the block path (not galloping) runs.
+  // Lengths 1..26, both lists of comparable density.
   for (size_t len = 1; len <= 26; ++len) {
     std::vector<FactId> b;
     for (size_t i = 0; i < len; ++i) b.push_back(static_cast<FactId>(3 * i));
     std::vector<FactId> a;
     for (size_t i = 0; i < len; ++i) a.push_back(static_cast<FactId>(2 * i));
-    expect_both(a, b, "length sweep across block residues");
+    expect_matches(a, b, "length sweep");
   }
-  // Match exactly at the last in-block element and first tail element.
+  // Match on the second-to-last and on the last element.
   std::vector<FactId> b17;
   for (FactId i = 0; i < 17; ++i) b17.push_back(i * 5);
-  expect_both({b17[15]}, b17, "match at last block element");
-  expect_both({b17[16]}, b17, "match in scalar tail");
+  expect_matches({b17[15]}, b17, "match at second-to-last element");
+  expect_matches({b17[16]}, b17, "match at last element");
 }
 
 TEST(ColumnStoreTest, SetEndogenousAfterInterningKeepsIndexes) {

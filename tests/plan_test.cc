@@ -386,7 +386,7 @@ TEST(PlanCacheTest, WarmAndColdComputeAllAreBitwiseIdentical) {
 // the smallest endogenous FactId, where it fails. The executor must keep
 // its successes and move only the failing fact to the next engine — exactly
 // what per-fact Compute calls do.
-void RegisterPoisonEngineOnce() {
+void EnsurePoisonEngineRegistered() {
   static bool registered = [] {
     EngineProvider provider;
     provider.name = "poison/partial-failure";
@@ -410,7 +410,7 @@ void RegisterPoisonEngineOnce() {
 }
 
 TEST(ExactSweepTest, EngineFailingForSomeFactsKeepsItsSuccesses) {
-  RegisterPoisonEngineOnce();
+  EnsurePoisonEngineRegistered();
   AggregateQuery a = Agg("Q(x) <- PzR(x, y)", AggregateFunction::Sum(),
                          MakeTauId(0));
   Database db;

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -9,6 +10,7 @@
 #include "shapcq/query/decomposition.h"
 #include "shapcq/query/evaluator.h"
 #include "shapcq/query/parser.h"
+#include "tests/support/naive_join.h"
 
 namespace shapcq {
 namespace {
@@ -320,12 +322,11 @@ TEST(DecompositionTest, IsGround) {
 // AnswersTouching (the dirty-answer seed of the streaming path)
 // ---------------------------------------------------------------------------
 
-// Reference: the distinct answers with at least one homomorphism using
-// `fact`, straight from the full homomorphism list.
-std::vector<Tuple> TouchingByEnumeration(const ConjunctiveQuery& q,
-                                         const Database& db, FactId fact) {
+// The distinct answers of the homomorphisms in `homs` that use `fact`.
+std::vector<Tuple> AnswersUsing(const std::vector<Homomorphism>& homs,
+                                FactId fact) {
   std::vector<Tuple> touching;
-  for (const Homomorphism& hom : EnumerateHomomorphisms(q, db)) {
+  for (const Homomorphism& hom : homs) {
     if (std::find(hom.used_facts.begin(), hom.used_facts.end(), fact) !=
         hom.used_facts.end()) {
       touching.push_back(hom.answer);
@@ -335,6 +336,13 @@ std::vector<Tuple> TouchingByEnumeration(const ConjunctiveQuery& q,
   touching.erase(std::unique(touching.begin(), touching.end()),
                  touching.end());
   return touching;
+}
+
+// Reference: the distinct answers with at least one homomorphism using
+// `fact`, straight from the full homomorphism list.
+std::vector<Tuple> TouchingByEnumeration(const ConjunctiveQuery& q,
+                                         const Database& db, FactId fact) {
+  return AnswersUsing(EnumerateHomomorphisms(q, db), fact);
 }
 
 TEST(AnswersTouchingTest, MatchesHomomorphismReference) {
@@ -381,6 +389,71 @@ TEST(AnswersTouchingTest, OneFactTouchesStrictlyFewerThanAllAnswers) {
   std::vector<Tuple> dirty = AnswersTouching(q, db, /*fact=*/0);
   EXPECT_EQ(dirty.size(), 1u);
   EXPECT_LT(dirty.size(), all);
+}
+
+// Tombstones on the multi-list path: in Q(x) <- R(x, y), S(x, y) the
+// second atom joined has both positions determined, so its candidates come
+// from intersecting two posting lists. Before compaction those lists still
+// hold the deleted S ids; the join must drop them exactly as the naive
+// oracle (which skips dead facts) does, and again after compaction.
+TEST(TombstoneJoinTest, TwoListIntersectionMatchesNaiveJoin) {
+  Database db;
+  // R is the smaller relation, so the join binds it first and probes S
+  // through the intersection of S's x and y posting lists.
+  for (int x = 0; x < 6; ++x) {
+    for (int y = 0; y < 6; ++y) {
+      if ((x + y) % 2 == 0) db.AddEndogenous("R", {Value(x), Value(y)});
+    }
+  }
+  std::vector<FactId> s_facts;
+  for (int x = 0; x < 6; ++x) {
+    for (int y = 0; y < 6; ++y) {
+      s_facts.push_back(db.AddEndogenous("S", {Value(x), Value(y)}));
+    }
+  }
+  ConjunctiveQuery q = MustParseQuery("Q(x) <- R(x, y), S(x, y)");
+
+  auto id_homs = [&] {
+    std::multiset<std::vector<FactId>> out;
+    for (const std::vector<FactId>& used :
+         EnumerateHomomorphismIds(q, db).used_facts) {
+      out.insert(used);
+    }
+    return out;
+  };
+  auto naive_homs = [&] {
+    std::multiset<std::vector<FactId>> out;
+    for (const Homomorphism& hom : EnumerateHomomorphismsNaive(q, db)) {
+      out.insert(hom.used_facts);
+    }
+    return out;
+  };
+  auto expect_matches_naive = [&](const char* phase) {
+    EXPECT_EQ(id_homs(), naive_homs()) << phase;
+    for (FactId fact = 0; fact < db.num_facts(); ++fact) {
+      if (!db.live(fact)) continue;
+      EXPECT_EQ(AnswersTouching(q, db, fact),
+                AnswersUsing(EnumerateHomomorphismsNaive(q, db), fact))
+          << phase << ": fact " << db.fact(fact).ToString();
+    }
+  };
+
+  expect_matches_naive("no tombstones");
+  // Delete every S(x, y) with x * y divisible by 3: among them are partners
+  // of live R facts, so the intersections surface dead ids.
+  const size_t homs_before = naive_homs().size();
+  for (FactId fact : s_facts) {
+    const Tuple& args = db.fact(fact).args;
+    if ((args[0].AsInt() * args[1].AsInt()) % 3 == 0) {
+      ASSERT_TRUE(db.DeleteFact(fact).ok());
+    }
+  }
+  ASSERT_TRUE(db.has_tombstones());
+  ASSERT_LT(naive_homs().size(), homs_before);
+  ASSERT_FALSE(naive_homs().empty());
+  expect_matches_naive("tombstoned");
+  db.CompactTombstones();
+  expect_matches_naive("compacted");
 }
 
 }  // namespace
