@@ -6,20 +6,23 @@
 #include "shapcq/shapley/avg_quantile_dp.h"
 #include "shapcq/shapley/engine_registry.h"
 #include "shapcq/shapley/hierarchical_dp.h"
+#include "shapcq/util/check.h"
 
 namespace shapcq {
+
+QuantilePositions::QuantilePositions(const Rational& q, int64_t size) {
+  SHAPCQ_CHECK(size >= 1);
+  Rational qn = q * Rational(size);
+  first = qn.Ceil().ToInt64();                     // ⌈q·|B|⌉
+  second = (qn + Rational(1)).Floor().ToInt64();   // ⌊q·|B|+1⌋
+}
 
 Rational QuantileContribution(const Rational& q, int64_t less, int64_t equal,
                               int64_t greater) {
   int64_t total = less + equal + greater;
   if (total == 0 || equal == 0) return Rational(0);
-  Rational qn = q * Rational(total);
-  int64_t i1 = qn.Ceil().ToInt64();                   // ⌈q·|B|⌉
-  int64_t i2 = (qn + Rational(1)).Floor().ToInt64();  // ⌊q·|B|+1⌋
-  Rational contribution;
-  if (less < i1 && less + equal >= i1) contribution += Rational(1);
-  if (less < i2 && less + equal >= i2) contribution += Rational(1);
-  return contribution / Rational(2);
+  return Rational(QuantilePositions(q, total).TwiceContribution(less, equal),
+                  2);
 }
 
 StatusOr<SumKSeries> AvgQuantileSumK(const AggregateQuery& a,

@@ -54,6 +54,20 @@ StatusOr<std::vector<std::pair<FactId, Rational>>> AvgQuantileScoreAll(
 Rational QuantileContribution(const Rational& q, int64_t less, int64_t equal,
                               int64_t greater);
 
+// The two 1-based positions ⌈q·|B|⌉ and ⌊q·|B|+1⌋ whose elements the
+// q-quantile of a bag of |B| = size ≥ 1 elements averages.
+struct QuantilePositions {
+  QuantilePositions(const Rational& q, int64_t size);
+  // 2·f_q(ℓ<, ℓ=, ℓ>) for a bag of this size: how many of the two
+  // positions the ℓ= copies of the anchor occupy.
+  int TwiceContribution(int64_t less, int64_t equal) const {
+    return (less < first && less + equal >= first ? 1 : 0) +
+           (less < second && less + equal >= second ? 1 : 0);
+  }
+  int64_t first;
+  int64_t second;
+};
+
 class EngineRegistry;
 
 // Registers the "avg-quantile/q-hierarchical-dp" provider (with the

@@ -229,21 +229,35 @@ class BagProfileStructure {
     return out;
   }
 
-  // The paper's sum_k(Avg) / sum_k(Qnt_q) formulas (avg_quantile.h).
+  // The paper's sum_k(Avg) / sum_k(Qnt_q) formulas (avg_quantile.h),
+  // assembled in integers: a profile's weight is a small numerator over a
+  // denominator — Avg ℓ= over ℓ<+ℓ=+ℓ>, Qnt 2·f_q over 2 — so the counts
+  // sum as count·numerator per (k, anchor, denominator) and each bucket
+  // becomes one Rational, not one per profile.
   SumKSeries Series(const P& p, const AggregateFunction& alpha) const {
     SumKSeries series(static_cast<size_t>(p.num_endogenous) + 1);
     const bool is_avg = alpha.kind() == AggKind::kAvg;
+    std::map<int64_t, QuantilePositions> positions;  // by bag size
     for (size_t i = 0; i < anchors_.size(); ++i) {
+      std::map<std::pair<int, int64_t>, Count> buckets;
       for (const auto& [key, count] : p.by_anchor[i]) {
         const int64_t less = key[1], equal = key[2], greater = key[3];
         if (equal == 0 || count.is_zero()) continue;
-        Rational weight =
-            is_avg ? Rational(equal) / Rational(less + equal + greater)
-                   : QuantileContribution(alpha.quantile(), less, equal,
-                                          greater);
-        if (weight.is_zero()) continue;
-        series[static_cast<size_t>(key[0])] +=
-            anchors_[i] * weight * Rational(CountToBigInt(count));
+        const int64_t size = less + equal + greater;
+        int64_t numerator = equal;
+        int64_t denominator = size;
+        if (!is_avg) {
+          numerator = positions.try_emplace(size, alpha.quantile(), size)
+                          .first->second.TwiceContribution(less, equal);
+          denominator = 2;
+        }
+        if (numerator == 0) continue;
+        AddCountProduct(buckets[{key[0], denominator}], count,
+                        Count(numerator));
+      }
+      for (const auto& [bucket, sum] : buckets) {
+        series[static_cast<size_t>(bucket.first)] +=
+            anchors_[i] * Rational(CountToBigInt(sum), BigInt(bucket.second));
       }
     }
     return series;

@@ -12,6 +12,12 @@ namespace shapcq {
 
 // Polynomial (convolution) product of two count vectors:
 // out[k] = Σ_j a[j]·b[k−j]. Empty inputs are treated as the zero polynomial.
+// Entries may be negative. One schoolbook kernel on raw 64-bit words: each
+// input is flattened once at its widest entry's width, every coefficient
+// accumulates in a two's-complement buffer of |a| + |b| + 1 words (widths
+// in words) with 128-bit limb products, and each output BigInt is built
+// once. There is no width cap, so the result is exact at any size; nothing
+// is allocated per term.
 std::vector<BigInt> Convolve(const std::vector<BigInt>& a,
                              const std::vector<BigInt>& b);
 

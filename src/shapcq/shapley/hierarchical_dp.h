@@ -299,9 +299,9 @@ typename S::P SolveWholeDatabase(const S& structure, const ConjunctiveQuery& q,
 //    on canonical forms, so no G solve runs at all.
 //  * Facts irrelevant to q leave every answer set unchanged, so their F
 //    and G series coincide and the score is an exact 0.
-// Per-fact assembly shards over contiguous fact chunks with worker-private
-// binomial caches; slot i holds the i-th endogenous fact, so values do
-// not depend on options.num_threads.
+// The score weights are built once per call. Per-fact assembly shards over
+// contiguous fact chunks with worker-private binomial caches; slot i holds
+// the i-th endogenous fact, so values do not depend on options.num_threads.
 template <typename S>
 std::vector<std::pair<FactId, Rational>> ScoreAllLeaveOneOut(
     const S& structure, const ConjunctiveQuery& q,
@@ -324,6 +324,7 @@ std::vector<std::pair<FactId, Rational>> ScoreAllLeaveOneOut(
   const SumKSeries full_series =
       series_of(structure.Pad(std::move(loo.full), pad, &comb));
   SHAPCQ_CHECK(static_cast<int>(full_series.size()) == n + 1);
+  const ScoreWeights weights(n, options.score);
   const int num_chunks =
       EffectiveThreadCount(options.num_threads, static_cast<int64_t>(n));
   ParallelFor(
@@ -340,7 +341,7 @@ std::vector<std::pair<FactId, Rational>> ScoreAllLeaveOneOut(
           SumKSeries series_g =
               RemovedSeriesFromIdentity(full_series, series_f);
           scores[static_cast<size_t>(i)].second =
-              ScoreFromSumK(series_f, series_g, options.score);
+              ScoreFromSumK(series_f, series_g, weights);
         }
       },
       num_chunks);

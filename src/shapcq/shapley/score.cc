@@ -6,30 +6,70 @@
 
 namespace shapcq {
 
+ScoreWeights::ScoreWeights(int64_t n, ScoreKind kind) : n_(n), kind_(kind) {
+  SHAPCQ_CHECK(n >= 1);
+  Combinatorics comb;
+  if (kind == ScoreKind::kShapley) {
+    numerators_.reserve(static_cast<size_t>(n));
+    for (int64_t k = 0; k < n; ++k) {
+      numerators_.emplace_back(comb.Factorial(k) * comb.Factorial(n - 1 - k));
+    }
+    denominator_ = comb.Factorial(n);
+  } else {
+    denominator_ = BigInt::TwoPow(static_cast<uint64_t>(n - 1));
+  }
+}
+
+void WeightedSum::Add(size_t k, const CountValue& x) {
+  SHAPCQ_CHECK(k < static_cast<size_t>(w_.n_));
+  if (w_.kind_ == ScoreKind::kShapley) {
+    integral_.AddProduct(x, w_.numerators_[k]);
+  } else {
+    integral_ += x;
+  }
+}
+
+void WeightedSum::Add(size_t k, const Rational& x) {
+  if (x.is_integer()) {
+    Add(k, CountValue(x.numerator()));
+    return;
+  }
+  SHAPCQ_CHECK(k < static_cast<size_t>(w_.n_));
+  if (w_.kind_ == ScoreKind::kShapley) {
+    fractional_ += x * Rational(w_.numerators_[k].ToBigInt());
+  } else {
+    fractional_ += x;
+  }
+}
+
+Rational WeightedSum::Result() const {
+  Rational result(integral_.ToBigInt(), w_.denominator_);
+  if (!fractional_.is_zero()) {
+    result += fractional_ / Rational(w_.denominator_);
+  }
+  return result;
+}
+
+Rational ScoreFromSumK(const SumKSeries& series_f_exogenous,
+                       const SumKSeries& series_f_removed,
+                       const ScoreWeights& weights) {
+  SHAPCQ_CHECK(series_f_exogenous.size() == series_f_removed.size());
+  SHAPCQ_CHECK(static_cast<int64_t>(series_f_exogenous.size()) ==
+               weights.n());
+  WeightedSum sum(weights);
+  for (size_t k = 0; k < series_f_exogenous.size(); ++k) {
+    Rational delta = series_f_exogenous[k];
+    delta -= series_f_removed[k];
+    if (!delta.is_zero()) sum.Add(k, delta);
+  }
+  return sum.Result();
+}
+
 Rational ScoreFromSumK(const SumKSeries& series_f_exogenous,
                        const SumKSeries& series_f_removed, ScoreKind kind) {
-  SHAPCQ_CHECK(series_f_exogenous.size() == series_f_removed.size());
-  SHAPCQ_CHECK(!series_f_exogenous.empty());
-  int64_t n = static_cast<int64_t>(series_f_exogenous.size());  // players
-  Combinatorics comb;
-  Rational score;
-  for (int64_t k = 0; k < n; ++k) {
-    Rational delta = series_f_exogenous[static_cast<size_t>(k)] -
-                     series_f_removed[static_cast<size_t>(k)];
-    if (delta.is_zero()) continue;
-    switch (kind) {
-      case ScoreKind::kShapley:
-        score += comb.ShapleyCoefficient(n, k) * delta;
-        break;
-      case ScoreKind::kBanzhaf:
-        score += delta;
-        break;
-    }
-  }
-  if (kind == ScoreKind::kBanzhaf && n > 1) {
-    score /= Rational(BigInt::TwoPow(static_cast<uint64_t>(n - 1)));
-  }
-  return score;
+  return ScoreFromSumK(
+      series_f_exogenous, series_f_removed,
+      ScoreWeights(static_cast<int64_t>(series_f_exogenous.size()), kind));
 }
 
 SumKSeries RemovedSeriesFromIdentity(const SumKSeries& full_series,

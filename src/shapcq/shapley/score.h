@@ -23,6 +23,7 @@
 
 #include "shapcq/agg/aggregate.h"
 #include "shapcq/data/database.h"
+#include "shapcq/util/fixed_int.h"
 #include "shapcq/util/rational.h"
 #include "shapcq/util/status.h"
 
@@ -43,9 +44,49 @@ using SumKSeries = std::vector<Rational>;
 using SumKEngine = std::function<StatusOr<SumKSeries>(
     const AggregateQuery&, const Database&, const SolverOptions&)>;
 
+// The weights of a score in integers over one shared denominator, for
+// coalition sizes k = 0..n−1: Shapley q_k = k!(n−1−k)!/n!, Banzhaf
+// 1/2^(n−1). Built once per n, then shared read-only by every fact.
+class ScoreWeights {
+ public:
+  ScoreWeights(int64_t n, ScoreKind kind);
+
+  int64_t n() const { return n_; }
+
+ private:
+  friend class WeightedSum;
+
+  int64_t n_;
+  ScoreKind kind_;
+  std::vector<CountValue> numerators_;  // Shapley only: k!(n−1−k)!
+  BigInt denominator_;                  // n! or 2^(n−1)
+};
+
+// Σ_k w_k·x_k for the weights w of a ScoreWeights: integral terms add
+// their integer numerators, fractional ones one Rational, and the sum is
+// divided by the shared denominator once — one normalisation per score,
+// not one per term. Exact, so the result is the canonical Rational.
+class WeightedSum {
+ public:
+  explicit WeightedSum(const ScoreWeights& weights) : w_(weights) {}
+
+  void Add(size_t k, const CountValue& x);
+  void Add(size_t k, const Rational& x);
+  Rational Result() const;
+
+ private:
+  const ScoreWeights& w_;
+  CountValue integral_;  // Σ numerator_k·x_k over integral x_k
+  Rational fractional_;  // Σ numerator_k·x_k over fractional x_k
+};
+
 // Combines the series of F (f exogenous) and G (f removed) into the score of
 // f in the original n-player game. Both series must have length n (entries
-// k = 0..n−1).
+// k = 0..n−1). The kind form builds the weights per call; batched scorers
+// build them once and pass them in.
+Rational ScoreFromSumK(const SumKSeries& series_f_exogenous,
+                       const SumKSeries& series_f_removed,
+                       const ScoreWeights& weights);
 Rational ScoreFromSumK(const SumKSeries& series_f_exogenous,
                        const SumKSeries& series_f_removed, ScoreKind kind);
 

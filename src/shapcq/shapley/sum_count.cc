@@ -88,7 +88,6 @@ StatusOr<SumKSeries> SumCountSumK(const AggregateQuery& a, const Database& db,
 StatusOr<std::vector<std::pair<FactId, Rational>>> SumCountScoreAll(
     const AggregateQuery& a, const Database& db,
     const SolverOptions& options) {
-  const ScoreKind kind = options.score;
   Status shape = CheckSumCountShape(a);
   if (!shape.ok()) return shape;
   const int64_t n = db.num_endogenous();
@@ -223,25 +222,11 @@ StatusOr<std::vector<std::pair<FactId, Rational>>> SumCountScoreAll(
     }
   }
 
-  // Shapley: Σ_k q_k·d[k] with q_k = k!(n−k−1)!/n!. Summing the numerators
-  // k!(n−k−1)!·d[k] over the common denominator n! needs one normalization
-  // per fact instead of one per (fact, k) term; the value is unchanged
-  // (exact arithmetic, same sum).
-  Combinatorics comb;
-  std::vector<BigInt> shapley_numerator(static_cast<size_t>(n));
-  if (kind == ScoreKind::kShapley) {
-    for (int64_t k = 0; k < n; ++k) {
-      shapley_numerator[static_cast<size_t>(k)] =
-          comb.Factorial(k) * comb.Factorial(n - 1 - k);
-    }
-  }
-  const BigInt denominator = kind == ScoreKind::kShapley
-                                 ? comb.Factorial(n)
-                                 : BigInt::TwoPow(static_cast<uint64_t>(
-                                       n > 1 ? n - 1 : 0));
-  // Per-fact scoring reads the merged map and the precomputed coefficient
-  // tables only — slot i writes fact endo[i], so the fan-out is
-  // deterministic.
+  // One set of integer weights over the shared denominator (n! or
+  // 2^(n−1)): one normalisation per fact instead of one per (fact, k)
+  // term. Per-fact scoring reads the merged map and the weights only —
+  // slot i writes fact endo[i], so the fan-out is deterministic.
+  const ScoreWeights weights(n, options.score);
   std::vector<std::pair<FactId, Rational>> scores(endo.size());
   ParallelFor(
       static_cast<int64_t>(endo.size()),
@@ -251,30 +236,14 @@ StatusOr<std::vector<std::pair<FactId, Rational>>> SumCountScoreAll(
         auto it = delta.find(f);
         if (it != delta.end()) {
           const DeltaSeries& d = it->second;
-          CountValue numerator;
-          Rational fractional_sum;
-          for (int64_t k = 0; k < n; ++k) {
-            const size_t uk = static_cast<size_t>(k);
-            const BigInt& coeff = kind == ScoreKind::kShapley
-                                      ? shapley_numerator[uk]
-                                      : denominator;  // unused for Banzhaf
-            if (!d.integral.empty() && !d.integral[uk].is_zero()) {
-              if (kind == ScoreKind::kShapley) {
-                numerator.AddProduct(d.integral[uk], coeff);
-              } else {
-                numerator += d.integral[uk];
-              }
-            }
-            if (!d.fractional.empty() && !d.fractional[uk].is_zero()) {
-              fractional_sum += kind == ScoreKind::kShapley
-                                    ? Rational(coeff) * d.fractional[uk]
-                                    : d.fractional[uk];
-            }
+          WeightedSum sum(weights);
+          for (size_t k = 0; k < d.integral.size(); ++k) {
+            if (!d.integral[k].is_zero()) sum.Add(k, d.integral[k]);
           }
-          score = Rational(numerator.ToBigInt(), denominator);
-          if (!fractional_sum.is_zero()) {
-            score += fractional_sum / Rational(denominator);
+          for (size_t k = 0; k < d.fractional.size(); ++k) {
+            if (!d.fractional[k].is_zero()) sum.Add(k, d.fractional[k]);
           }
+          score = sum.Result();
         }
         scores[static_cast<size_t>(i)] = {f, std::move(score)};
       },

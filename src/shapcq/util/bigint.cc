@@ -231,14 +231,17 @@ BigInt BigInt::TwoPow(uint64_t exponent) {
 }
 
 BigInt BigInt::FromMagnitude64(const uint64_t* words, int count, int sign) {
+  while (count > 0 && words[count - 1] == 0) --count;
   BigInt result;
-  result.limbs_.reserve(static_cast<size_t>(count) * 2);
-  for (int i = 0; i < count; ++i) {
-    result.limbs_.push_back(static_cast<uint32_t>(words[i]));
-    result.limbs_.push_back(static_cast<uint32_t>(words[i] >> 32));
+  if (count == 0) return result;
+  // Sized exactly: the top word's high half may be empty.
+  const size_t limbs = static_cast<size_t>(count) * 2 -
+                       ((words[count - 1] >> 32) == 0 ? 1 : 0);
+  result.limbs_.resize(limbs);
+  for (size_t i = 0; i < limbs; ++i) {
+    result.limbs_[i] = static_cast<uint32_t>(words[i / 2] >> (32 * (i % 2)));
   }
   result.sign_ = sign < 0 ? -1 : 1;
-  result.TrimAndFixSign();
   return result;
 }
 

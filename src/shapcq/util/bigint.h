@@ -3,9 +3,12 @@
 // The Shapley dynamic programs count subsets of databases, so intermediate
 // values routinely exceed 2^64 (e.g., the number of k-subsets of a few
 // hundred facts). BigInt is a from-scratch sign-magnitude implementation
-// with base-2^32 limbs, sized for the needs of this library: exact,
-// allocation-friendly, and fast enough that arithmetic never dominates the
-// dynamic programs it supports.
+// with base-2^32 limbs: exact at any size, but every result owns a heap
+// vector, so a temporary costs an allocation. Arithmetic on these counts is
+// the hot spot of the exact dynamic programs, which therefore keep their
+// inner loops off BigInt: the coefficient convolution (shapley/dp_util.h)
+// works on raw 64-bit words, and the counting loops on FixedInt/CountValue
+// (util/fixed_int.h). BigInt holds the values between those kernels.
 
 #ifndef SHAPCQ_UTIL_BIGINT_H_
 #define SHAPCQ_UTIL_BIGINT_H_
@@ -41,6 +44,10 @@ class BigInt {
   int sign() const { return sign_; }
   bool is_zero() const { return sign_ == 0; }
   bool is_negative() const { return sign_ < 0; }
+  // True iff the value is 1; allocates nothing (unlike `== BigInt(1)`).
+  bool is_one() const {
+    return sign_ > 0 && limbs_.size() == 1 && limbs_[0] == 1;
+  }
 
   // Returns true if the value fits in int64_t.
   bool FitsInInt64() const;

@@ -95,21 +95,24 @@ class FixedInt {
       *out = FixedInt();
       return true;
     }
+    // Only the used limbs multiply: |a| ≥ 2^(64(na−1)) and |b| ≥
+    // 2^(64(nb−1)), so na + nb ≥ kLimbs + 2 overflows for certain.
+    const int na = a.UsedLimbs();
+    const int nb = b.UsedLimbs();
+    if (na + nb > kLimbs + 1) return false;
     uint64_t wide[2 * kLimbs] = {};
-    for (int i = 0; i < kLimbs; ++i) {
+    for (int i = 0; i < na; ++i) {
       uint64_t carry = 0;
-      for (int j = 0; j < kLimbs; ++j) {
+      for (int j = 0; j < nb; ++j) {
         const unsigned __int128 cur =
             static_cast<unsigned __int128>(a.limbs_[i]) * b.limbs_[j] +
             wide[i + j] + carry;
         wide[i + j] = static_cast<uint64_t>(cur);
         carry = static_cast<uint64_t>(cur >> 64);
       }
-      wide[i + kLimbs] = carry;
+      wide[i + nb] = carry;
     }
-    for (int i = kLimbs; i < 2 * kLimbs; ++i) {
-      if (wide[i] != 0) return false;
-    }
+    if (wide[kLimbs] != 0) return false;
     const int sign = a.sign_ * b.sign_;
     std::memcpy(out->limbs_, wide, sizeof(out->limbs_));
     out->sign_ = sign;
@@ -180,6 +183,13 @@ class FixedInt {
   }
 
  private:
+  // Index of the highest non-zero limb, plus one (0 for zero).
+  int UsedLimbs() const {
+    int used = kLimbs;
+    while (used > 0 && limbs_[used - 1] == 0) --used;
+    return used;
+  }
+
   // -1 / 0 / +1 as |a| <=> |b|.
   static int CompareMagnitude(const FixedInt& a, const FixedInt& b) {
     for (int i = kLimbs - 1; i >= 0; --i) {

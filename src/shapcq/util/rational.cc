@@ -66,7 +66,24 @@ Rational Rational::operator-() const {
   return result;
 }
 
+// When one side is an integer no gcd is needed: with gcd(a, b) == 1,
+// a/b ± c = (a ± c·b)/b and gcd(a ± c·b, b) == gcd(a, b) == 1, so the
+// result is already canonical (0 comes out as 0/1 because b is then 1).
 Rational& Rational::operator+=(const Rational& other) {
+  if (other.is_integer()) {
+    if (is_integer()) {
+      numerator_ += other.numerator_;
+    } else {
+      numerator_ += other.numerator_ * denominator_;
+    }
+    return *this;
+  }
+  if (is_integer()) {
+    numerator_ *= other.denominator_;
+    numerator_ += other.numerator_;
+    denominator_ = other.denominator_;
+    return *this;
+  }
   numerator_ = numerator_ * other.denominator_ +
                other.numerator_ * denominator_;
   denominator_ *= other.denominator_;
@@ -75,6 +92,20 @@ Rational& Rational::operator+=(const Rational& other) {
 }
 
 Rational& Rational::operator-=(const Rational& other) {
+  if (other.is_integer()) {
+    if (is_integer()) {
+      numerator_ -= other.numerator_;
+    } else {
+      numerator_ -= other.numerator_ * denominator_;
+    }
+    return *this;
+  }
+  if (is_integer()) {
+    numerator_ *= other.denominator_;
+    numerator_ -= other.numerator_;
+    denominator_ = other.denominator_;
+    return *this;
+  }
   numerator_ = numerator_ * other.denominator_ -
                other.numerator_ * denominator_;
   denominator_ *= other.denominator_;
@@ -84,6 +115,9 @@ Rational& Rational::operator-=(const Rational& other) {
 
 Rational& Rational::operator*=(const Rational& other) {
   numerator_ *= other.numerator_;
+  if (is_integer() && other.is_integer()) {
+    return *this;  // 0 stays 0/1
+  }
   denominator_ *= other.denominator_;
   Normalize();
   return *this;
@@ -101,6 +135,9 @@ Rational& Rational::operator/=(const Rational& other) {
 }
 
 int Rational::Compare(const Rational& lhs, const Rational& rhs) {
+  if (lhs.is_integer() && rhs.is_integer()) {
+    return BigInt::Compare(lhs.numerator_, rhs.numerator_);
+  }
   // Denominators are positive, so cross-multiplication preserves order.
   return BigInt::Compare(lhs.numerator_ * rhs.denominator_,
                          rhs.numerator_ * lhs.denominator_);
@@ -134,11 +171,12 @@ void Rational::Normalize() {
     denominator_.Negate();
   }
   if (numerator_.is_zero()) {
-    denominator_ = BigInt(1);
+    if (!denominator_.is_one()) denominator_ = BigInt(1);
     return;
   }
+  if (denominator_.is_one()) return;
   BigInt gcd = BigInt::Gcd(numerator_, denominator_);
-  if (gcd != BigInt(1)) {
+  if (!gcd.is_one()) {
     numerator_ /= gcd;
     denominator_ /= gcd;
   }

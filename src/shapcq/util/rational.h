@@ -40,7 +40,7 @@ class Rational {
 
   bool is_zero() const { return numerator_.is_zero(); }
   bool is_negative() const { return numerator_.is_negative(); }
-  bool is_integer() const { return denominator_ == BigInt(1); }
+  bool is_integer() const { return denominator_.is_one(); }
   int sign() const { return numerator_.sign(); }
 
   double ToDouble() const;

@@ -2,6 +2,7 @@
 // side" structure of Section 5.1) and the shared DP utilities.
 
 #include <map>
+#include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -123,6 +124,102 @@ TEST(DpUtilTest, ConvolveBasics) {
   EXPECT_EQ(c[2].ToInt64(), 13);
   EXPECT_EQ(c[3].ToInt64(), 10);
   EXPECT_TRUE(Convolve({}, b).empty());
+}
+
+// The schoolbook BigInt double loop Convolve replaced, kept as the
+// reference: one temporary product per term.
+std::vector<BigInt> ConvolveReference(const std::vector<BigInt>& a,
+                                      const std::vector<BigInt>& b) {
+  if (a.empty() || b.empty()) return {};
+  std::vector<BigInt> out(a.size() + b.size() - 1);
+  for (size_t i = 0; i < a.size(); ++i) {
+    for (size_t j = 0; j < b.size(); ++j) out[i + j] += a[i] * b[j];
+  }
+  return out;
+}
+
+// A random signed entry of up to `words` 64-bit words; about a third are
+// zero, and zeros come in runs.
+BigInt RandomEntry(std::mt19937_64* rng, int words) {
+  if ((*rng)() % 3 == 0) return BigInt();
+  BigInt value;
+  const int used =
+      1 + static_cast<int>((*rng)() % static_cast<uint64_t>(words));
+  for (int w = 0; w < used; ++w) {
+    const uint64_t word = (*rng)();
+    value = value * BigInt::TwoPow(64) +
+            BigInt::TwoPow(32) * BigInt(static_cast<int64_t>(word >> 32)) +
+            BigInt(static_cast<int64_t>(word & 0xffffffffu));
+  }
+  if ((*rng)() % 2 == 0) value.Negate();
+  return value;
+}
+
+std::vector<BigInt> RandomRow(std::mt19937_64* rng, size_t length,
+                              int words) {
+  std::vector<BigInt> row(length);
+  for (size_t i = 0; i < length; ++i) {
+    // Zero runs: repeat the previous zero with probability 1/2.
+    if (i > 0 && row[i - 1].is_zero() && (*rng)() % 2 == 0) continue;
+    row[i] = RandomEntry(rng, words);
+  }
+  return row;
+}
+
+TEST(DpUtilTest, ConvolveMatchesReferenceOnSignedRowsOfEveryShortLength) {
+  std::mt19937_64 rng(4242);
+  for (size_t la = 1; la <= 40; ++la) {
+    for (size_t lb = 1; lb <= 40; ++lb) {
+      const std::vector<BigInt> a = RandomRow(&rng, la, 1 + (la + lb) % 3);
+      const std::vector<BigInt> b = RandomRow(&rng, lb, 1 + la % 2);
+      ASSERT_EQ(Convolve(a, b), ConvolveReference(a, b))
+          << "lengths " << la << " x " << lb;
+    }
+  }
+}
+
+TEST(DpUtilTest, ConvolveMatchesReferenceAcrossWidthsAndSigns) {
+  std::mt19937_64 rng(977);
+  // 1-word x 8-word operands, both orders, every sign mix.
+  for (int trial = 0; trial < 50; ++trial) {
+    const std::vector<BigInt> narrow = RandomRow(&rng, 1 + rng() % 30, 1);
+    const std::vector<BigInt> wide = RandomRow(&rng, 1 + rng() % 30, 8);
+    ASSERT_EQ(Convolve(narrow, wide), ConvolveReference(narrow, wide));
+    ASSERT_EQ(Convolve(wide, narrow), ConvolveReference(wide, narrow));
+  }
+  // Cancellation to an exact zero, and a negative coefficient whose two's
+  // complement spans every word of the accumulator.
+  const std::vector<BigInt> a = {BigInt(1), BigInt(-1)};
+  const std::vector<BigInt> b = {BigInt::TwoPow(200), BigInt::TwoPow(200)};
+  const std::vector<BigInt> c = Convolve(a, b);
+  EXPECT_EQ(c, ConvolveReference(a, b));
+  EXPECT_TRUE(c[1].is_zero());
+  EXPECT_EQ(c[2], -BigInt::TwoPow(200));
+  // All-zero and single-entry operands.
+  EXPECT_EQ(Convolve({BigInt(), BigInt()}, {BigInt(5)}),
+            (std::vector<BigInt>{BigInt(), BigInt()}));
+  EXPECT_EQ(Convolve({BigInt(-3)}, {BigInt(-4)}),
+            (std::vector<BigInt>{BigInt(12)}));
+}
+
+TEST(DpUtilTest, ConvolveIsExactPast256Bits) {
+  // Rows of C(450, k) reach ~2^445 (7 words); their product row 900
+  // reaches ~2^895, with no width cap in between.
+  Combinatorics comb;
+  const std::vector<BigInt>& row = comb.BinomialRow(450);
+  EXPECT_GT(row[225].BitLength(), 256);
+  EXPECT_EQ(Convolve(row, row), ConvolveReference(row, row));
+  EXPECT_EQ(Convolve(row, row), comb.BinomialRow(900));
+  std::vector<BigInt> signed_row = row;
+  for (size_t k = 1; k < signed_row.size(); k += 2) signed_row[k].Negate();
+  EXPECT_EQ(Convolve(signed_row, row), ConvolveReference(signed_row, row));
+}
+
+TEST(DpUtilTest, ConvolveOfEmptyInputsIsEmpty) {
+  const std::vector<BigInt> row = {BigInt(1), BigInt(2)};
+  EXPECT_TRUE(Convolve({}, {}).empty());
+  EXPECT_TRUE(Convolve(row, {}).empty());
+  EXPECT_TRUE(Convolve({}, row).empty());
 }
 
 TEST(DpUtilTest, BinomialVectorAndPad) {

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -107,6 +108,49 @@ TEST(FixedIntStressTest, AddSubMulAgreeWithBigIntIncludingOverflow) {
       EXPECT_FALSE(FitsFixed(product));
     }
   }
+}
+
+// Products of operands of unequal used widths (1 limb by 4, 2 by 3) whose
+// exact magnitude lands just below, at and just above 2^256: Mul
+// multiplies only the used limbs and must still detect every overflow.
+TEST(FixedIntStressTest, UnequalWidthProductsAroundTheOverflowBoundary) {
+  std::mt19937_64 rng(855);
+  const BigInt limit = FixedLimit();
+  for (int trial = 0; trial < 2000; ++trial) {
+    // The narrow factor: 1 limb, or 2 limbs for the 2-by-3 shape.
+    const bool one_by_four = trial % 2 == 0;
+    BigInt narrow(static_cast<int64_t>(rng() >> 1) | 1);
+    if (!one_by_four) narrow = narrow * BigInt::TwoPow(64) + BigInt(1);
+    // The wide factor sits next to limit / narrow, so the product is
+    // within a few multiples of `narrow` of 2^256.
+    BigInt wide = limit / narrow + BigInt(static_cast<int64_t>(rng() % 5) - 2);
+    if (trial % 4 == 1) narrow.Negate();
+    if (trial % 3 == 1) wide.Negate();
+    FixedInt fn;
+    FixedInt fw;
+    ASSERT_TRUE(FixedInt::FromBigInt(narrow, &fn));
+    ASSERT_TRUE(FixedInt::FromBigInt(wide, &fw));
+    const BigInt product = narrow * wide;
+    for (const auto& [x, y] : {std::pair(fn, fw), std::pair(fw, fn)}) {
+      FixedInt out;
+      const bool fits = FixedInt::Mul(x, y, &out);
+      ASSERT_EQ(fits, FitsFixed(product)) << narrow << " * " << wide;
+      if (fits) EXPECT_EQ(out.ToBigInt(), product);
+    }
+  }
+  // The exact edge: (2^128 − 1)·(2^128 + 1) = 2^256 − 1 fits, and
+  // 2^64 · 2^192 = 2^256 does not.
+  FixedInt a;
+  FixedInt b;
+  FixedInt out;
+  ASSERT_TRUE(FixedInt::FromBigInt(BigInt::TwoPow(128) - BigInt(1), &a));
+  ASSERT_TRUE(FixedInt::FromBigInt(BigInt::TwoPow(128) + BigInt(1), &b));
+  ASSERT_TRUE(FixedInt::Mul(a, b, &out));
+  EXPECT_EQ(out.ToBigInt(), limit - BigInt(1));
+  ASSERT_TRUE(FixedInt::FromBigInt(BigInt::TwoPow(64), &a));
+  ASSERT_TRUE(FixedInt::FromBigInt(BigInt::TwoPow(192), &b));
+  EXPECT_FALSE(FixedInt::Mul(a, b, &out));
+  EXPECT_FALSE(FixedInt::Mul(b, a, &out));
 }
 
 TEST(FixedIntStressTest, AliasingSafeInPlaceOps) {

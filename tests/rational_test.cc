@@ -127,5 +127,85 @@ TEST(RationalTest, RandomizedFieldAxioms) {
   }
 }
 
+
+// The integer fast paths of +=, -=, *= and Compare, and the mixed
+// integer/fraction shortcuts, must give exactly the canonical form the
+// general path (cross-multiplication, then gcd in the constructor) gives.
+TEST(RationalTest, IntegerFastPathsAndMixedOperandsStayCanonical) {
+  std::mt19937_64 rng(29);
+  auto random_big = [&rng]() {
+    // Up to ~160 bits, so magnitudes pass 2^64 and 2^128 too.
+    BigInt value(static_cast<int64_t>(rng() % 2001) - 1000);
+    for (int words = static_cast<int>(rng() % 3); words > 0; --words) {
+      value = value * BigInt::TwoPow(64) +
+              BigInt(static_cast<int64_t>(rng() >> 1));
+    }
+    return value;
+  };
+  auto random_operand = [&]() {
+    // Half integers (denominator 1), half fractions that may reduce.
+    if (rng() % 2 == 0) return Rational(random_big());
+    BigInt den(static_cast<int64_t>(rng() % 30) + 2);
+    return Rational(random_big() * BigInt(static_cast<int64_t>(rng() % 3) + 1),
+                    den);
+  };
+  auto expect_canonical = [](const Rational& r) {
+    EXPECT_GT(r.denominator().sign(), 0);
+    EXPECT_TRUE(BigInt::Gcd(r.numerator(), r.denominator()).is_one() ||
+                r.is_zero());
+    if (r.is_zero()) EXPECT_TRUE(r.denominator().is_one());
+    EXPECT_EQ(r.is_integer(), r.denominator() == BigInt(1));
+  };
+  for (int trial = 0; trial < 2000; ++trial) {
+    const Rational a = random_operand();
+    const Rational b = random_operand();
+    const BigInt& an = a.numerator();
+    const BigInt& ad = a.denominator();
+    const BigInt& bn = b.numerator();
+    const BigInt& bd = b.denominator();
+    Rational sum = a;
+    sum += b;
+    Rational difference = a;
+    difference -= b;
+    Rational product = a;
+    product *= b;
+    EXPECT_EQ(sum, Rational(an * bd + bn * ad, ad * bd));
+    EXPECT_EQ(difference, Rational(an * bd - bn * ad, ad * bd));
+    EXPECT_EQ(product, Rational(an * bn, ad * bd));
+    expect_canonical(sum);
+    expect_canonical(difference);
+    expect_canonical(product);
+    EXPECT_EQ(Rational::Compare(a, b) < 0, an * bd < bn * ad);
+    EXPECT_EQ(Rational::Compare(a, b) == 0, a == b);
+  }
+  // Results that cancel to 0 come out as 0/1, and aliased operands work.
+  Rational x(BigInt(5), BigInt(3));
+  x -= Rational(BigInt(5), BigInt(3));
+  EXPECT_TRUE(x.is_zero());
+  expect_canonical(x);
+  Rational y(BigInt::TwoPow(100));
+  y -= y;
+  EXPECT_TRUE(y.is_zero());
+  expect_canonical(y);
+  Rational z(7);
+  z += z;
+  z *= z;
+  EXPECT_EQ(z, Rational(196));
+  Rational w = Rational(2) - Rational(BigInt(1), BigInt(2));
+  EXPECT_EQ(w.ToString(), "3/2");
+  w += Rational(BigInt(1), BigInt(2));
+  EXPECT_EQ(w.ToString(), "2");
+  EXPECT_TRUE(w.is_integer());
+}
+
+TEST(RationalTest, BigIntIsOneMatchesEquality) {
+  for (int64_t v : {int64_t{-2}, int64_t{-1}, int64_t{0}, int64_t{1},
+                    int64_t{2}, int64_t{4294967297}}) {
+    EXPECT_EQ(BigInt(v).is_one(), BigInt(v) == BigInt(1)) << v;
+  }
+  EXPECT_FALSE((BigInt::TwoPow(64) + BigInt(1)).is_one());
+  EXPECT_TRUE((BigInt::TwoPow(64) - BigInt::TwoPow(64) + BigInt(1)).is_one());
+}
+
 }  // namespace
 }  // namespace shapcq
