@@ -505,5 +505,61 @@ TEST(SolverSessionTest, MonteCarloEstimatesCarrySeededConfidenceIntervals) {
   EXPECT_TRUE(any_difference);
 }
 
+// ---------------------------------------------------------------------------
+// Proposition 7.3(1)/(2): Avg and Median over a product whose τ-free
+// component lies outside the q-hierarchical frontier
+// ---------------------------------------------------------------------------
+
+// Whatever engine serves these instances, the exact-only batch must be
+// exact and equal the brute-force scores.
+TEST(Prop73ParityTest, ExactOnlyComputeAllMatchesBruteForce) {
+  struct Case {
+    const char* query;
+    ValueFunctionPtr tau;
+  };
+  const std::vector<Case> cases = {
+      {"Q(x, z) <- R(x, y), S(y), T(z)", MakeTauReLU(1)},
+      {"Q(x, z) <- R(x, y), S(y), T(z)", MakeTauGreaterThan(1, Rational(1))},
+      {"Q(z, x) <- T(z), R(x, y), S(y)", MakeTauId(0)},
+      {"Q(z, x) <- T(z), R(x, y), S(y)", MakeConstantTau(Rational(3))},
+      {"Q(x, z, u) <- R(x, y), S(y), T(z), U(u, v), V(v)", MakeTauId(1)},
+  };
+  for (const Case& c : cases) {
+    ConjunctiveQuery q = MustParseQuery(c.query);
+    for (AggregateFunction alpha :
+         {AggregateFunction::Avg(), AggregateFunction::Median()}) {
+      for (uint64_t seed = 1; seed <= 2; ++seed) {
+        RandomDatabaseOptions db_options;
+        db_options.facts_per_relation = q.atoms().size() > 3 ? 2 : 3;
+        db_options.domain_size = 3;
+        db_options.seed = seed * 31 + 5;
+        Database db = RandomDatabaseForQuery(q, db_options);
+        if (db.num_endogenous() == 0) continue;
+        AggregateQuery a{q, c.tau, alpha};
+        SolverSession session(a, db);
+        for (ScoreKind kind : {ScoreKind::kShapley, ScoreKind::kBanzhaf}) {
+          const std::string label =
+              a.ToString() + " seed " + std::to_string(seed);
+          SolverOptions options;
+          options.method = SolveMethod::kExactOnly;
+          options.score = kind;
+          auto all = session.ComputeAll(options);
+          ASSERT_TRUE(all.ok()) << label << ": " << all.status().ToString();
+          auto oracle = BruteForceScoreAll(a, db, kind);
+          ASSERT_TRUE(oracle.ok()) << label;
+          ASSERT_EQ(all->size(), oracle->size()) << label;
+          for (size_t i = 0; i < all->size(); ++i) {
+            EXPECT_EQ((*all)[i].first, (*oracle)[i].first) << label;
+            EXPECT_TRUE((*all)[i].second.is_exact) << label;
+            EXPECT_EQ((*all)[i].second.exact, (*oracle)[i].second)
+                << label << " fact " << (*all)[i].first << " via "
+                << (*all)[i].second.algorithm;
+          }
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace shapcq
