@@ -57,26 +57,6 @@ const std::vector<FactId>& ColumnStore::Postings(RelationId relation,
   return by_value[value];
 }
 
-const std::vector<ValueId>& ColumnStore::Column(RelationId relation,
-                                                int position) const {
-  SHAPCQ_CHECK(relation >= 0 && relation < num_relations());
-  const Relation& rel = relations_[static_cast<size_t>(relation)];
-  SHAPCQ_CHECK(position >= 0 && position < rel.arity);
-  return rel.columns[static_cast<size_t>(position)];
-}
-
-int ColumnStore::num_delta_rows(RelationId relation) const {
-  SHAPCQ_CHECK(relation >= 0 && relation < num_relations());
-  const Relation& rel = relations_[static_cast<size_t>(relation)];
-  return static_cast<int>(rel.facts.size() - rel.sealed_rows);
-}
-
-void ColumnStore::Seal() {
-  for (Relation& rel : relations_) {
-    rel.sealed_rows = rel.facts.size();
-  }
-}
-
 namespace {
 
 bool IsDead(const std::vector<char>& dead, FactId fact) {
@@ -134,7 +114,6 @@ void ColumnStore::Compact(const std::vector<char>& dead,
                    list.end());
       }
     }
-    rel.sealed_rows = rel.facts.size();
   }
   if (fact_row != nullptr) {
     for (size_t fact = 0; fact < dead.size(); ++fact) {

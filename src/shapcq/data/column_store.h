@@ -11,13 +11,7 @@
 // every list (facts, columns, postings) stays sorted by construction and
 // const lookups are thread-safe. Deletion is a Database-level tombstone —
 // the store keeps the dead ids in place until Compact() rebuilds the lists
-// without them (FactIds are preserved; only rows move). Each relation also
-// carries a sealed-row watermark: rows at index < sealed_rows are the
-// compacted "base" segment, rows past it are the "delta" segment appended
-// since the last Compact/Seal. Because ids ascend and are never reused,
-// base ++ delta is one sorted vector, so the galloping intersection
-// consumes the merged base+delta view with zero merge cost — the
-// watermark only tracks how much unsealed churn has accumulated.
+// without them (FactIds are preserved; only rows move).
 
 #ifndef SHAPCQ_DATA_COLUMN_STORE_H_
 #define SHAPCQ_DATA_COLUMN_STORE_H_
@@ -67,21 +61,11 @@ class ColumnStore {
         .columns[static_cast<size_t>(position)][static_cast<size_t>(row)];
   }
 
-  // Whole column, position-major: one ValueId per row of Facts(relation).
-  const std::vector<ValueId>& Column(RelationId relation, int position) const;
-
-  // Rows of `relation` appended since the last Compact/Seal (the delta
-  // segment; see the header comment).
-  int num_delta_rows(RelationId relation) const;
-  // Seals every relation's delta segment: subsequent appends start a new
-  // delta. Compact() seals implicitly.
-  void Seal();
-
   // Rebuilds every relation's lists without the facts marked in `dead`
   // (indexed by FactId; ids at or past dead.size() are live). FactIds are
   // preserved — only row indexes change. When `fact_row` is non-null it is
   // updated in place (indexed by FactId) to the surviving facts' new rows;
-  // dead facts get row -1. Seals all relations.
+  // dead facts get row -1.
   void Compact(const std::vector<char>& dead, std::vector<int32_t>* fact_row);
 
  private:
@@ -91,8 +75,6 @@ class ColumnStore {
     std::vector<std::vector<ValueId>> columns;    // [position][row]
     // [position][value id] -> ascending FactIds; grown on demand.
     std::vector<std::vector<std::vector<FactId>>> postings;
-    // Rows < sealed_rows form the compacted base segment.
-    size_t sealed_rows = 0;
   };
   std::vector<Relation> relations_;
 };

@@ -137,24 +137,4 @@ StatusOr<Rational> ScoreViaSumK(const AggregateQuery& a, const Database& db,
   return ScoreViaSumK(a, db, fact, engine, options);
 }
 
-StatusOr<std::vector<std::pair<FactId, Rational>>> ScoreAllViaSumK(
-    const AggregateQuery& a, const Database& db, const SumKEngine& engine,
-    const SolverOptions& options) {
-  std::vector<std::pair<FactId, Rational>> scores;
-  for (FactId fact : db.EndogenousFacts()) {
-    StatusOr<Rational> score = ScoreViaSumK(a, db, fact, engine, options);
-    if (!score.ok()) return score.status();
-    scores.emplace_back(fact, std::move(score).value());
-  }
-  return scores;
-}
-
-StatusOr<std::vector<std::pair<FactId, Rational>>> ScoreAllViaSumK(
-    const AggregateQuery& a, const Database& db, const SumKEngine& engine,
-    ScoreKind kind) {
-  SolverOptions options;
-  options.score = kind;
-  return ScoreAllViaSumK(a, db, engine, options);
-}
-
 }  // namespace shapcq

@@ -112,14 +112,6 @@ StatusOr<Rational> ScoreViaSumK(const AggregateQuery& a, const Database& db,
                                 FactId fact, const SumKEngine& engine,
                                 const SolverOptions& options);
 
-// Scores every endogenous fact (same engine, 2·n engine runs).
-StatusOr<std::vector<std::pair<FactId, Rational>>> ScoreAllViaSumK(
-    const AggregateQuery& a, const Database& db, const SumKEngine& engine,
-    ScoreKind kind = ScoreKind::kShapley);
-StatusOr<std::vector<std::pair<FactId, Rational>>> ScoreAllViaSumK(
-    const AggregateQuery& a, const Database& db, const SumKEngine& engine,
-    const SolverOptions& options);
-
 // General semivalue: Σ_k weights[k] · (sum_k(A,F) − sum_k(A,G)) for a
 // caller-supplied coefficient vector over coalition sizes k = 0..n−1
 // (the paper's "Shapley-like scores" in full generality). Shapley uses
