@@ -3,7 +3,7 @@
 // Same query Q_xyyz(x, z) <- R(x, y), S(y), T(z); same aggregate Avg; two
 // value functions:
 //   τ¹_ReLU (reads x, localized on R)  — FP^#P-hard: exact = brute force.
-//   τ²_ReLU (reads z, localized on T)  — polynomial via the gated product.
+//   τ²_ReLU (reads z, localized on T)  — polynomial: {R, S} only gates.
 // Also Dup on Q^full_xyy with τ²_id (tractable) vs τ¹_id (hard).
 
 #include <cstdio>
@@ -13,10 +13,10 @@
 #include "shapcq/agg/value_function.h"
 #include "shapcq/data/database.h"
 #include "shapcq/query/parser.h"
+#include "shapcq/shapley/avg_quantile.h"
 #include "shapcq/shapley/brute_force.h"
 #include "shapcq/shapley/has_duplicates.h"
 #include "shapcq/shapley/score.h"
-#include "shapcq/shapley/special_cases.h"
 
 using namespace shapcq;  // NOLINT
 
@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
 
   ConjunctiveQuery q_xyyz = MustParseQuery("Q(x, z) <- R(x, y), S(y), T(z)");
   std::printf("Avg over Q_xyyz: tau on x (hard side, brute force) vs tau on "
-              "z (gated product)\n");
+              "z (exact DP)\n");
   std::printf("%6s %10s %20s %20s\n", "n", "players", "tau1: brute (ms)",
               "tau2: exact DP (ms)");
   bench::Rule();
@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
       if (!r.ok()) std::abort();
     });
     double easy_ms = bench::TimeMs([&] {
-      auto r = ScoreViaSumK(easy, db, probe, GatedProductSumK);
+      auto r = ScoreViaSumK(easy, db, probe, AvgQuantileSumK);
       if (!r.ok()) std::abort();
     });
     std::printf("%6d %10d %20.2f %20.2f\n", n, db.num_endogenous(), hard_ms,
@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
     AggregateQuery easy{q_xyyz, MakeTauReLU(1), AggregateFunction::Avg()};
     FactId probe = db.EndogenousFacts().front();
     double easy_ms = bench::TimeMs([&] {
-      auto r = ScoreViaSumK(easy, db, probe, GatedProductSumK);
+      auto r = ScoreViaSumK(easy, db, probe, AvgQuantileSumK);
       if (!r.ok()) std::abort();
     });
     std::printf("%6d %10d %20s %20.2f\n", n, db.num_endogenous(),

@@ -174,12 +174,6 @@ std::vector<std::vector<int>> ConnectedComponents(const ConjunctiveQuery& q) {
 
 bool IsGround(const ConjunctiveQuery& q) { return q.variables().empty(); }
 
-int AtomIndexOf(const ConjunctiveQuery& q, const std::string& relation) {
-  std::vector<int> indices = q.AtomsOf(relation);
-  SHAPCQ_CHECK(indices.size() <= 1 && "self-join encountered");
-  return indices.empty() ? -1 : indices[0];
-}
-
 std::vector<Value> CandidateValues(const ConjunctiveQuery& q,
                                    const std::string& x,
                                    const FactSubset& subset) {

@@ -42,10 +42,6 @@ std::vector<std::vector<int>> ConnectedComponents(const ConjunctiveQuery& q);
 // True iff all atoms of `q` are ground (no variables anywhere).
 bool IsGround(const ConjunctiveQuery& q);
 
-// The index of the unique atom over `relation`; -1 if the relation does not
-// occur. Aborts on self-joins.
-int AtomIndexOf(const ConjunctiveQuery& q, const std::string& relation);
-
 // The values the root variable `x` can take: constants of `subset` that
 // occur, for every (atom, position) where x occurs in q, in that column of
 // the corresponding relation. Sorted ascending, distinct.

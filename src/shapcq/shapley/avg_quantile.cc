@@ -46,11 +46,10 @@ StatusOr<std::vector<std::pair<FactId, Rational>>> AvgQuantileScoreAll(
     return scores;
   }
   using Structure = BagProfileStructure<CountValue>;
-  Structure structure(a.query, *a.tau, std::move(anchors));
+  Structure structure(a, std::move(anchors));
   return ScoreAllLeaveOneOut(
       structure, a.query, structure.Top(), db,
-      [&](const Structure::P& p) { return structure.Series(p, a.alpha); },
-      options);
+      [&](const Structure::P& p) { return structure.Series(p); }, options);
 }
 
 void RegisterAvgQuantileEngine(EngineRegistry& registry) {

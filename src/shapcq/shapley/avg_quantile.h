@@ -15,6 +15,24 @@
 //
 //   sum_k(Avg)   = Σ_a Σ_ℓ  a · ℓ= / (ℓ< + ℓ= + ℓ>) · P(a, k, ℓ)
 //   sum_k(Qnt_q) = Σ_a Σ_ℓ  a · f_q(ℓ<, ℓ=, ℓ>)      · P(a, k, ℓ).
+//
+// Proposition 7.3. Avg ∘ τ²_ReLU ∘ Q_xyyz and Med ∘ τ²_>0 ∘ Q_xyyz, with
+// Q_xyyz(x, z) <- R(x, y), S(y), T(z), are FP^#P-hard when τ reads the
+// first head component (localized on R) but polynomial when it reads the
+// last one (localized on T). The query factors as Q = Q1 × Q2 with τ
+// localized in Q1, so the bag of Q is Q1's bag replicated |Q2| times, and
+// Avg and Median are invariant under uniform replication of the bag:
+//
+//   A(E) = (α ∘ τ ∘ Q1)(E ∩ D1) · [ Q2(E ∩ D2) ≠ ∅ ].
+//
+// So a component that the top-level cross product splits off without τ's
+// variables (or the whole query, when τ reads none) keeps only the answer
+// counts of its Boolean version: all-hierarchy suffices there, and the
+// full query may lie outside the q-hierarchical frontier. The rule holds
+// only at the top: under a root split, a τ-free component replicates one
+// slice's bag, by a factor that differs across slices (Q(x, y, z) <-
+// R(x, y), S(x, z) with τ on y), so its answer counts stay. Other
+// quantiles keep the q-hierarchical requirement on every component.
 
 #ifndef SHAPCQ_SHAPLEY_AVG_QUANTILE_H_
 #define SHAPCQ_SHAPLEY_AVG_QUANTILE_H_
@@ -31,8 +49,10 @@
 namespace shapcq {
 
 // sum_k series for A = Avg ∘ τ ∘ Q or Qnt_q ∘ τ ∘ Q. Returns UNSUPPORTED
-// unless the query is self-join-free and q-hierarchical and τ is localized
-// on some atom of Q. The quintuple counts run on CountValue (fixed-width
+// unless the query is self-join-free, τ is localized on some atom of Q,
+// and every component of Q is q-hierarchical — for Avg and Median, a
+// component without τ's variables need only be all-hierarchical (Prop
+// 7.3 above). The quintuple counts run on CountValue (fixed-width
 // fast path, escaping to BigInt on overflow); arithmetic is exact, so the
 // series is bitwise-identical to a pure-BigInt instantiation.
 StatusOr<SumKSeries> AvgQuantileSumK(const AggregateQuery& a,

@@ -20,10 +20,13 @@
 #include "shapcq/agg/aggregate.h"
 #include "shapcq/agg/value_function.h"
 #include "shapcq/hierarchy/classification.h"
+#include "shapcq/query/decomposition.h"
 #include "shapcq/query/evaluator.h"
 #include "shapcq/shapley/answer_counts.h"
 #include "shapcq/shapley/avg_quantile.h"
+#include "shapcq/shapley/dp_util.h"
 #include "shapcq/shapley/hierarchical_dp.h"
+#include "shapcq/shapley/membership.h"
 #include "shapcq/util/check.h"
 #include "shapcq/util/fixed_int.h"
 
@@ -47,6 +50,14 @@ inline BigInt CountToBigInt(const CountValue& value) {
   return value.ToBigInt();
 }
 
+// Avg and Median: aggregates that uniform replication of the whole bag
+// leaves unchanged.
+inline bool IsReplicationInvariant(const AggregateFunction& alpha) {
+  return alpha.kind() == AggKind::kAvg ||
+         (alpha.kind() == AggKind::kQuantile &&
+          alpha.quantile() == Rational(BigInt(1), BigInt(2)));
+}
+
 // (k, ℓ<, ℓ=, ℓ>) -> count, sparse.
 template <typename Count>
 using QuintupleMap = std::map<std::array<int, 4>, Count>;
@@ -54,17 +65,23 @@ using QuintupleMap = std::map<std::array<int, 4>, Count>;
 // P[Q', D'] of one sub-problem. The component holding τ's variables is
 // keyed: per anchor a, the (k, ℓ<, ℓ=, ℓ>) profiles of the bag of
 // τ-values relative to a. Every other component only multiplies that bag
-// by its number of answers, so it keeps the answer-count distribution.
+// by its number of answers, so it keeps the answer-count distribution —
+// except that for Avg and Median a component split off at the top only
+// gates the bag (Prop 7.3): it keeps, per size k, the subsets under which
+// it has answers, and a cross product multiplies such gates into one
+// factor of the series instead of into every profile.
 template <typename Count>
 struct BagProfile {
   bool keyed = false;
   std::vector<QuintupleMap<Count>> by_anchor;  // keyed
-  AnswerCountMap answers;                      // not keyed
+  AnswerCountMap answers;                      // not keyed, not a gate
+  std::vector<BigInt> gate;  // gating components and padding; empty: none
   int num_endogenous = 0;
 
   bool operator==(const BagProfile& other) const {
     return keyed == other.keyed && num_endogenous == other.num_endogenous &&
-           by_anchor == other.by_anchor && answers == other.answers;
+           by_anchor == other.by_anchor && answers == other.answers &&
+           gate == other.gate;
   }
 };
 
@@ -76,21 +93,22 @@ class BagProfileStructure {
     Tuple head;  // bound head values
     std::vector<std::string> scope;  // τ's head variables still unbound
     bool keyed = true;
+    bool whole_bag = true;  // no root split above: the bag is the query's
   };
   static constexpr bool kFreeRootsOnly = true;
 
-  // `anchors`: the distinct τ-values of the full database's answers,
-  // ascending.
-  BagProfileStructure(const ConjunctiveQuery& q, const ValueFunction& tau,
-                      std::vector<Rational> anchors)
-      : tau_(tau),
+  // `anchors`: the distinct τ-values of the answers of a over the full
+  // database, ascending.
+  BagProfileStructure(const AggregateQuery& a, std::vector<Rational> anchors)
+      : tau_(*a.tau),
+        alpha_(a.alpha),
         anchors_(std::move(anchors)),
-        head_arity_(q.arity()),
-        key_(q, tau.DependsOn()) {}
+        head_arity_(a.query.arity()),
+        key_(a.query, a.tau->DependsOn()) {}
 
   Context Top() const {
     return {Tuple(static_cast<size_t>(head_arity_), Value(0)),
-            key_.variables(), true};
+            key_.variables(), true, true};
   }
 
   bool IsLeaf(const ConjunctiveQuery&, const Context& ctx) const {
@@ -98,13 +116,21 @@ class BagProfileStructure {
   }
 
   // An unkeyed component is its answer-count distribution. A keyed one
-  // whose τ-value a0 is fixed puts its ℓ answers in the a0 slot.
+  // whose τ-value a0 is fixed puts its ℓ answers in the a0 slot. Avg and
+  // Median ignore uniform replication of the whole bag, so a leaf with no
+  // root split above only says whether it has answers (Prop 7.3).
   P Leaf(const ConjunctiveQuery& q, const FactSubset& facts,
          const Context& ctx, Combinatorics* comb) const {
     P out;
     out.keyed = ctx.keyed;
     out.num_endogenous = facts.CountEndogenous();
-    AnswerCountMap counts = AnswerCountDistribution(q, facts, comb);
+    const bool gate = ctx.whole_bag && IsReplicationInvariant(alpha_);
+    if (gate && !ctx.keyed) {
+      out.gate = SatisfactionCountsOnSubset(q, facts, comb);
+      return out;
+    }
+    AnswerCountMap counts =
+        AnswerCountDistribution(gate ? q.AsBoolean() : q, facts, comb);
     if (!ctx.keyed) {
       out.answers = std::move(counts);
       return out;
@@ -131,11 +157,8 @@ class BagProfileStructure {
   Context Bind(const Context& ctx, const std::string& x,
                const Value& a) const {
     Context child = ctx;
-    if (const std::vector<int>* positions = key_.Bind(x, &child.scope)) {
-      for (int position : *positions) {
-        child.head[static_cast<size_t>(position)] = a;
-      }
-    }
+    child.whole_bag = false;
+    key_.BindHead(x, a, &child.scope, &child.head);
     return child;
   }
 
@@ -143,7 +166,7 @@ class BagProfileStructure {
                     bool) const {
     std::vector<std::string> scope = KeyScope::Within(ctx.scope, sub_q);
     const bool keyed = ctx.keyed && !scope.empty();
-    return {ctx.head, std::move(scope), keyed};
+    return {ctx.head, std::move(scope), keyed, ctx.whole_bag};
   }
 
   P Empty(const Context& ctx) const {
@@ -160,6 +183,7 @@ class BagProfileStructure {
   // combine_∪ at a free root: disjoint answer sets, the bags add.
   P Union(const P& lhs, const P& rhs, Combinatorics* comb) const {
     SHAPCQ_CHECK(lhs.keyed == rhs.keyed);
+    SHAPCQ_CHECK(lhs.gate.empty() && rhs.gate.empty());  // gates: top only
     if (!lhs.keyed) {
       return Unkeyed(
           AnswerCountStructure().Union(lhs.answers, rhs.answers, comb), lhs,
@@ -183,6 +207,7 @@ class BagProfileStructure {
   // side (an empty side empties the bag).
   P Cross(const P& lhs, const P& rhs, Combinatorics* comb) const {
     SHAPCQ_CHECK(!(lhs.keyed && rhs.keyed));
+    if (!lhs.gate.empty() || !rhs.gate.empty()) return Gated(lhs, rhs);
     if (!lhs.keyed && !rhs.keyed) {
       return Unkeyed(AnswerCountStructure().Cross(lhs.answers, rhs.answers,
                                                   comb),
@@ -210,6 +235,10 @@ class BagProfileStructure {
     if (pad == 0) return p;
     P out = p;
     out.num_endogenous += pad;
+    if (!p.gate.empty()) {
+      out.gate = PadCounts(p.gate, pad, comb);
+      return out;
+    }
     if (!p.keyed) {
       out.answers = PadAnswerCounts(p.answers, pad, comb);
       return out;
@@ -234,9 +263,10 @@ class BagProfileStructure {
   // denominator — Avg ℓ= over ℓ<+ℓ=+ℓ>, Qnt 2·f_q over 2 — so the counts
   // sum as count·numerator per (k, anchor, denominator) and each bucket
   // becomes one Rational, not one per profile.
-  SumKSeries Series(const P& p, const AggregateFunction& alpha) const {
-    SumKSeries series(static_cast<size_t>(p.num_endogenous) + 1);
-    const bool is_avg = alpha.kind() == AggKind::kAvg;
+  SumKSeries Series(const P& p) const {
+    const int gated = p.gate.empty() ? 0 : static_cast<int>(p.gate.size()) - 1;
+    SumKSeries series(static_cast<size_t>(p.num_endogenous - gated) + 1);
+    const bool is_avg = alpha_.kind() == AggKind::kAvg;
     std::map<int64_t, QuantilePositions> positions;  // by bag size
     for (size_t i = 0; i < anchors_.size(); ++i) {
       std::map<std::pair<int, int64_t>, Count> buckets;
@@ -247,7 +277,7 @@ class BagProfileStructure {
         int64_t numerator = equal;
         int64_t denominator = size;
         if (!is_avg) {
-          numerator = positions.try_emplace(size, alpha.quantile(), size)
+          numerator = positions.try_emplace(size, alpha_.quantile(), size)
                           .first->second.TwiceContribution(less, equal);
           denominator = 2;
         }
@@ -260,10 +290,32 @@ class BagProfileStructure {
             anchors_[i] * Rational(CountToBigInt(sum), BigInt(bucket.second));
       }
     }
-    return series;
+    if (p.gate.empty()) return series;
+    // A subset contributes iff every gate has answers: convolve.
+    SumKSeries out(static_cast<size_t>(p.num_endogenous) + 1);
+    for (size_t k = 0; k < series.size(); ++k) {
+      if (series[k].is_zero()) continue;
+      for (size_t g = 0; g < p.gate.size(); ++g) {
+        if (!p.gate[g].is_zero()) out[k + g] += series[k] * Rational(p.gate[g]);
+      }
+    }
+    return out;
   }
 
  private:
+  // combine_× at the top with a gating side: the product's bag is the
+  // keyed side's when every gate has answers and empty otherwise, and an
+  // empty bag adds nothing to an Avg/Median series — so the gates
+  // multiply into one factor and the profiles stay as they are.
+  static P Gated(const P& lhs, const P& rhs) {
+    P out = lhs.keyed ? lhs : rhs;
+    const P& gate = lhs.keyed ? rhs : lhs;
+    SHAPCQ_CHECK(!gate.keyed && !gate.gate.empty());
+    out.gate = out.gate.empty() ? gate.gate : Convolve(out.gate, gate.gate);
+    out.num_endogenous += gate.num_endogenous;
+    return out;
+  }
+
   // Empty results of a combine, sized for both sides.
   P Keyed(const P& lhs, const P& rhs) const {
     P out;
@@ -280,6 +332,7 @@ class BagProfileStructure {
   }
 
   const ValueFunction& tau_;
+  AggregateFunction alpha_;
   std::vector<Rational> anchors_;  // ascending
   int head_arity_;
   KeyScope key_;
@@ -295,13 +348,27 @@ inline Status CheckAvgQuantileShape(const AggregateQuery& a) {
   if (a.query.HasSelfJoin()) {
     return UnsupportedError("Avg/Qnt requires a self-join-free CQ");
   }
-  if (!IsQHierarchical(a.query)) {
-    return UnsupportedError("Avg/Qnt requires a q-hierarchical CQ: " +
-                            a.query.ToString());
-  }
   if (LocalizationAtoms(a.query, *a.tau).empty()) {
     return UnsupportedError("value function is not localized on any atom of " +
                             a.query.ToString());
+  }
+  // τ's component must be q-hierarchical. A component without τ's
+  // variables only replicates the bag, so for Avg and Median it only gates
+  // by non-emptiness (Prop 7.3) and all-hierarchy suffices.
+  const std::vector<int> depends_on = a.tau->DependsOn();
+  for (const std::vector<int>& atoms : ConnectedComponents(a.query)) {
+    const ConjunctiveQuery component = a.query.Project(atoms, nullptr);
+    const bool gate_only =
+        IsReplicationInvariant(a.alpha) &&
+        std::none_of(depends_on.begin(), depends_on.end(), [&](int position) {
+          return component.HasVariable(
+              a.query.head()[static_cast<size_t>(position)]);
+        });
+    if (gate_only ? !IsAllHierarchical(component)
+                  : !IsQHierarchical(component)) {
+      return UnsupportedError("Avg/Qnt requires a q-hierarchical CQ: " +
+                              a.query.ToString());
+    }
   }
   return Status::Ok();
 }
@@ -326,11 +393,10 @@ StatusOr<SumKSeries> AvgQuantileSumKWith(const AggregateQuery& a,
   if (anchors.empty()) {
     return SumKSeries(static_cast<size_t>(db.num_endogenous()) + 1);
   }
-  BagProfileStructure<Count> structure(a.query, *a.tau, std::move(anchors));
+  BagProfileStructure<Count> structure(a, std::move(anchors));
   Combinatorics comb;
   return structure.Series(
-      SolveWholeDatabase(structure, a.query, structure.Top(), db, &comb),
-      a.alpha);
+      SolveWholeDatabase(structure, a.query, structure.Top(), db, &comb));
 }
 
 }  // namespace shapcq

@@ -139,4 +139,9 @@ std::vector<BigInt> SubtractCounts(const std::vector<BigInt>& a,
   return out;
 }
 
+void AddInto(std::vector<BigInt>* acc, const std::vector<BigInt>& counts) {
+  SHAPCQ_CHECK(acc->size() == counts.size());
+  for (size_t k = 0; k < counts.size(); ++k) (*acc)[k] += counts[k];
+}
+
 }  // namespace shapcq

@@ -33,6 +33,9 @@ std::vector<BigInt> PadCounts(const std::vector<BigInt>& counts, int pad,
 std::vector<BigInt> SubtractCounts(const std::vector<BigInt>& a,
                                    const std::vector<BigInt>& b);
 
+// *acc += counts, element-wise (same length).
+void AddInto(std::vector<BigInt>* acc, const std::vector<BigInt>& counts);
+
 }  // namespace shapcq
 
 #endif  // SHAPCQ_SHAPLEY_DP_UTIL_H_

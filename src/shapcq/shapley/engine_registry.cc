@@ -8,7 +8,6 @@
 #include "shapcq/shapley/count_distinct.h"
 #include "shapcq/shapley/has_duplicates.h"
 #include "shapcq/shapley/min_max.h"
-#include "shapcq/shapley/special_cases.h"
 #include "shapcq/shapley/sum_count.h"
 #include "shapcq/util/check.h"
 
@@ -24,7 +23,6 @@ EngineRegistry& EngineRegistry::Global() {
     RegisterMinMaxEngine(*r);
     RegisterCountDistinctEngines(*r);
     RegisterAvgQuantileEngine(*r);
-    RegisterGatedProductEngine(*r);
     RegisterHasDuplicatesEngine(*r);
     // The knowledge-compilation engine for the hard side of the frontier:
     // slots after every frontier DP and before the brute-force / Monte

@@ -83,7 +83,7 @@ class EngineRegistry {
  public:
   // The process-wide registry, pre-populated with the built-in engines
   // (sum/count, min/max, count-distinct + injective rewrite, avg/quantile,
-  // gated product, has-duplicates, closed forms). Registration of custom
+  // has-duplicates, closed forms, lineage circuits). Registration of custom
   // providers is not thread-safe against concurrent solves.
   static EngineRegistry& Global();
 

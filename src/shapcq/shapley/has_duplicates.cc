@@ -1,148 +1,45 @@
 #include "shapcq/shapley/has_duplicates.h"
 
 #include <algorithm>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "shapcq/agg/value_function.h"
 #include "shapcq/hierarchy/classification.h"
-#include "shapcq/query/decomposition.h"
 #include "shapcq/shapley/answer_counts.h"
 #include "shapcq/shapley/dp_util.h"
 #include "shapcq/shapley/engine_registry.h"
-#include "shapcq/util/check.h"
-#include "shapcq/util/combinatorics.h"
 
 namespace shapcq {
 
 namespace {
 
-// P0[k] / P1[k] / m extracted from an answer-count distribution.
-struct ZeroOneCounts {
-  std::vector<BigInt> zero;  // exactly 0 answers
-  std::vector<BigInt> one;   // exactly 1 answer
-  int num_endogenous = 0;
+// All groups and padding folded: per size k, the subsets with a nonempty
+// bag, and those among them whose bag has no duplicate.
+struct Collapsed {
+  std::vector<BigInt> nonempty;
+  std::vector<BigInt> clean;
 };
 
-ZeroOneCounts ExtractZeroOne(const ConjunctiveQuery& q,
-                             const FactSubset& facts, Combinatorics* comb) {
-  ZeroOneCounts out;
-  out.num_endogenous = facts.CountEndogenous();
-  size_t width = static_cast<size_t>(out.num_endogenous) + 1;
-  out.zero.assign(width, BigInt(0));
-  out.one.assign(width, BigInt(0));
-  for (const auto& [key, count] : AnswerCountDistribution(q, facts, comb)) {
-    if (key.second == 0) out.zero[static_cast<size_t>(key.first)] = count;
-    if (key.second == 1) out.one[static_cast<size_t>(key.first)] = count;
+Collapsed Collapse(const DupCounts& p, Combinatorics* comb) {
+  std::vector<BigInt> zero = {BigInt(1)};
+  std::vector<BigInt> no_dup = {BigInt(1)};
+  for (const auto& [value, group] : p.groups) {
+    std::vector<BigInt> at_most_once = group.zero;
+    AddInto(&at_most_once, group.one);
+    zero = Convolve(zero, group.zero);
+    no_dup = Convolve(no_dup, at_most_once);
   }
-  return out;
+  zero = PadCounts(zero, p.pad, comb);
+  no_dup = PadCounts(no_dup, p.pad, comb);
+  const int m = static_cast<int>(zero.size()) - 1;
+  return {SubtractCounts(comb->BinomialRow(m), zero),
+          SubtractCounts(no_dup, zero)};
 }
 
-class DupSolver {
- public:
-  DupSolver(const AggregateQuery& a, int r_atom, Combinatorics* comb)
-      : a_(a), r_atom_(r_atom), comb_(comb) {}
-
-  // sum_k(Dup ∘ τ ∘ q, facts) over the endogenous facts of `facts`.
-  std::vector<BigInt> DupCounts(const ConjunctiveQuery& q,
-                                const FactSubset& facts) {
-    std::vector<std::vector<int>> components = ConnectedComponents(q);
-    if (components.size() == 1) return DupConnected(q, facts);
-    // Identify the component holding the localization atom of the ORIGINAL
-    // query; map it through: components are given by atom indices of `q`,
-    // which here is always the original query.
-    std::vector<int> r_component;
-    std::vector<int> other_atoms;
-    for (const std::vector<int>& component : components) {
-      if (std::find(component.begin(), component.end(), r_atom_) !=
-          component.end()) {
-        r_component = component;
-      } else {
-        other_atoms.insert(other_atoms.end(), component.begin(),
-                           component.end());
-      }
-    }
-    SHAPCQ_CHECK(!r_component.empty());
-    ConjunctiveQuery q1 = q.Project(r_component, nullptr);
-    ConjunctiveQuery q2 = q.Project(other_atoms, nullptr);
-    FactSubset d1 = FactsOfQueryRelations(q1, facts);
-    FactSubset d2 = FactsOfQueryRelations(q2, facts);
-    ZeroOneCounts p1_side = ExtractZeroOne(q1, d1, comb_);
-    ZeroOneCounts p2_side = ExtractZeroOne(q2, d2, comb_);
-    std::vector<BigInt> dup1 = DupConnected(q1, d1);
-    int m1 = p1_side.num_endogenous;
-    int m2 = p2_side.num_endogenous;
-    SHAPCQ_CHECK(m1 + m2 == facts.CountEndogenous());
-    std::vector<BigInt> out(static_cast<size_t>(m1 + m2) + 1, BigInt(0));
-    for (int l = 0; l <= m1; ++l) {
-      // Case 1: Q1 nonempty (any bag) and Q2 has at least two answers;
-      // every bag element is then replicated.
-      BigInt q1_nonempty =
-          comb_->Binomial(m1, l) - p1_side.zero[static_cast<size_t>(l)];
-      // Case 2: Q1's own bag has duplicates and Q2 has exactly one answer.
-      for (int k2 = 0; k2 <= m2; ++k2) {
-        BigInt q2_at_least_two = comb_->Binomial(m2, k2) -
-                                 p2_side.zero[static_cast<size_t>(k2)] -
-                                 p2_side.one[static_cast<size_t>(k2)];
-        BigInt contribution = q1_nonempty * q2_at_least_two +
-                              dup1[static_cast<size_t>(l)] *
-                                  p2_side.one[static_cast<size_t>(k2)];
-        if (!contribution.is_zero()) {
-          out[static_cast<size_t>(l + k2)] += contribution;
-        }
-      }
-    }
-    return out;
-  }
-
-  // Figure 5: connected case. Requires every τ-relevant head variable to
-  // occur in every atom of q (validated by the caller).
-  std::vector<BigInt> DupConnected(const ConjunctiveQuery& q,
-                                   const FactSubset& facts) {
-    int m = facts.CountEndogenous();
-    // Partition facts by the τ-value they pin down.
-    std::map<Rational, FactSubset> groups;
-    for (FactId id : facts.facts) {
-      const Fact& fact = facts.db->fact(id);
-      int atom_index = AtomIndexOf(q, fact.relation);
-      SHAPCQ_CHECK(atom_index >= 0);
-      Rational value =
-          EvaluateTauOnFact(q, atom_index, *a_.tau, fact.args);
-      auto [it, inserted] = groups.emplace(value, FactSubset{});
-      if (inserted) it->second.db = facts.db;
-      it->second.facts.push_back(id);
-    }
-    // No duplicates iff every value group contributes at most one answer.
-    std::vector<BigInt> no_dup = {BigInt(1)};
-    for (const auto& [value, group] : groups) {
-      ZeroOneCounts zo = ExtractZeroOne(q, group, comb_);
-      std::vector<BigInt> at_most_one(zo.zero.size());
-      for (size_t k = 0; k < zo.zero.size(); ++k) {
-        at_most_one[k] = zo.zero[k] + zo.one[k];
-      }
-      no_dup = Convolve(no_dup, at_most_one);
-    }
-    SHAPCQ_CHECK(static_cast<int>(no_dup.size()) == m + 1);
-    std::vector<BigInt> out(static_cast<size_t>(m) + 1);
-    for (int k = 0; k <= m; ++k) {
-      out[static_cast<size_t>(k)] =
-          comb_->Binomial(m, k) - no_dup[static_cast<size_t>(k)];
-    }
-    return out;
-  }
-
- private:
-  const AggregateQuery& a_;
-  int r_atom_;
-  Combinatorics* comb_;
-};
-
-}  // namespace
-
-StatusOr<SumKSeries> HasDuplicatesSumK(const AggregateQuery& a,
-                                       const Database& db,
-                                       const SolverOptions& /*options*/) {
+// The gates of the engine, shared by both entry points so the batch fails
+// exactly where the per-fact path would.
+Status CheckDupShape(const AggregateQuery& a) {
   if (a.alpha.kind() != AggKind::kHasDuplicates) {
     return UnsupportedError("HasDuplicatesSumK handles Dup only");
   }
@@ -153,59 +50,107 @@ StatusOr<SumKSeries> HasDuplicatesSumK(const AggregateQuery& a,
     return UnsupportedError(
         "Dup requires (at least) a q-hierarchical CQ: " + a.query.ToString());
   }
-  // Find a localization atom whose connected component contains every
-  // τ-relevant head variable in every atom.
-  std::vector<int> localization = LocalizationAtoms(a.query, *a.tau);
+  const std::vector<int> localization = LocalizationAtoms(a.query, *a.tau);
   if (localization.empty()) {
     return UnsupportedError("value function is not localized on any atom of " +
                             a.query.ToString());
   }
-  std::vector<std::vector<int>> components = ConnectedComponents(a.query);
-  int chosen_atom = -1;
-  for (int candidate : localization) {
-    const std::vector<int>* component = nullptr;
-    for (const std::vector<int>& c : components) {
-      if (std::find(c.begin(), c.end(), candidate) != c.end()) {
-        component = &c;
-        break;
-      }
-    }
-    SHAPCQ_CHECK(component != nullptr);
-    bool ok = true;
-    for (int position : a.tau->DependsOn()) {
-      const std::string& head_var =
-          a.query.head()[static_cast<size_t>(position)];
-      for (int atom_index : *component) {
-        if (!a.query.atoms()[static_cast<size_t>(atom_index)]
-                 .ContainsVariable(head_var)) {
-          ok = false;
-          break;
-        }
-      }
-      if (!ok) break;
-    }
-    if (ok) {
-      chosen_atom = candidate;
-      break;
+  // Every atom of the localization component must hold all of τ's
+  // variables, i.e. be a localization atom itself: a component holds
+  // either only localization atoms or none.
+  for (const std::vector<int>& component : ConnectedComponents(a.query)) {
+    const size_t localized = static_cast<size_t>(std::count_if(
+        component.begin(), component.end(), [&](int atom) {
+          return std::count(localization.begin(), localization.end(), atom);
+        }));
+    if (localized != 0 && localized != component.size()) {
+      return UnsupportedError(
+          "Dup requires every tau-relevant head variable in every atom of "
+          "the localization component (guaranteed for sq-hierarchical CQs): " +
+          a.query.ToString());
     }
   }
-  if (chosen_atom < 0) {
-    return UnsupportedError(
-        "Dup requires every tau-relevant head variable in every atom of the "
-        "localization component (guaranteed for sq-hierarchical CQs): " +
-        a.query.ToString());
+  return Status::Ok();
+}
+
+}  // namespace
+
+DupCounts DupStructure::Leaf(const ConjunctiveQuery& q,
+                             const FactSubset& facts, const Context& ctx,
+                             Combinatorics* comb) const {
+  const size_t width = static_cast<size_t>(facts.CountEndogenous()) + 1;
+  DupGroup group{std::vector<BigInt>(width), std::vector<BigInt>(width)};
+  for (const auto& [key, count] : AnswerCountDistribution(q, facts, comb)) {
+    if (key.second == 0) group.zero[static_cast<size_t>(key.first)] = count;
+    if (key.second == 1) group.one[static_cast<size_t>(key.first)] = count;
   }
+  DupCounts out;
+  out.groups.emplace(ctx.keyed ? tau_.Evaluate(ctx.head) : Rational(),
+                     std::move(group));
+  return out;
+}
+
+DupCounts DupStructure::Union(const DupCounts& lhs, const DupCounts& rhs,
+                              Combinatorics*) const {
+  DupCounts out = lhs;
+  out.pad += rhs.pad;
+  for (const auto& [value, group] : rhs.groups) {
+    auto [it, inserted] = out.groups.try_emplace(value, group);
+    if (inserted) continue;
+    DupGroup& merged = it->second;
+    std::vector<BigInt> one = Convolve(merged.zero, group.one);
+    AddInto(&one, Convolve(merged.one, group.zero));
+    merged.zero = Convolve(merged.zero, group.zero);
+    merged.one = std::move(one);
+  }
+  return out;
+}
+
+DupCounts DupStructure::Cross(const DupCounts& lhs, const DupCounts& rhs,
+                              Combinatorics* comb) const {
+  const Collapsed a = Collapse(lhs, comb);
+  const Collapsed b = Collapse(rhs, comb);
+  const int m = static_cast<int>(a.nonempty.size() + b.nonempty.size()) - 2;
+  // The product is nonempty iff both sides are, and then duplicate-free
+  // iff both sides are (a side with two answers replicates the other's
+  // bag).
+  DupGroup product{
+      SubtractCounts(comb->BinomialRow(m), Convolve(a.nonempty, b.nonempty)),
+      Convolve(a.clean, b.clean)};
+  // Under the engine's gate a cross product happens only at the top of the
+  // recursion, so this group never meets another one.
+  DupCounts out;
+  out.groups.emplace(Rational(), std::move(product));
+  return out;
+}
+
+SumKSeries DupStructure::Series(const DupCounts& p) {
   Combinatorics comb;
-  int n = db.num_endogenous();
-  RelevanceSplit split = SplitRelevant(a.query, AllFacts(db));
-  DupSolver solver(a, chosen_atom, &comb);
-  std::vector<BigInt> counts = solver.DupCounts(a.query, split.relevant);
-  counts = PadCounts(counts, split.irrelevant_endogenous, &comb);
-  SHAPCQ_CHECK(static_cast<int>(counts.size()) == n + 1);
-  SumKSeries series;
-  series.reserve(counts.size());
-  for (const BigInt& count : counts) series.push_back(Rational(count));
-  return series;
+  const Collapsed collapsed = Collapse(p, &comb);
+  const std::vector<BigInt> counts =
+      SubtractCounts(collapsed.nonempty, collapsed.clean);
+  return SumKSeries(counts.begin(), counts.end());
+}
+
+StatusOr<SumKSeries> HasDuplicatesSumK(const AggregateQuery& a,
+                                       const Database& db,
+                                       const SolverOptions& /*options*/) {
+  Status shape = CheckDupShape(a);
+  if (!shape.ok()) return shape;
+  DupStructure structure(a.query, *a.tau);
+  Combinatorics comb;
+  return DupStructure::Series(
+      SolveWholeDatabase(structure, a.query, structure.Top(), db, &comb));
+}
+
+StatusOr<std::vector<std::pair<FactId, Rational>>> HasDuplicatesScoreAll(
+    const AggregateQuery& a, const Database& db,
+    const SolverOptions& options) {
+  Status shape = CheckDupShape(a);
+  if (!shape.ok()) return shape;
+  DupStructure structure(a.query, *a.tau);
+  return ScoreAllLeaveOneOut(structure, a.query, structure.Top(), db,
+                             &DupStructure::Series, options);
 }
 
 void RegisterHasDuplicatesEngine(EngineRegistry& registry) {
@@ -216,6 +161,7 @@ void RegisterHasDuplicatesEngine(EngineRegistry& registry) {
     return a.alpha.kind() == AggKind::kHasDuplicates;
   };
   provider.sum_k = HasDuplicatesSumK;
+  provider.score_all = HasDuplicatesScoreAll;
   registry.Register(std::move(provider));
 }
 

@@ -119,6 +119,16 @@ class KeyScope {
     return &positions_.at(x);
   }
 
+  // Bind, then writes a at x's head positions of `head`.
+  void BindHead(const std::string& x, const Value& a,
+                std::vector<std::string>* unbound, Tuple* head) const {
+    if (const std::vector<int>* positions = Bind(x, unbound)) {
+      for (int position : *positions) {
+        (*head)[static_cast<size_t>(position)] = a;
+      }
+    }
+  }
+
   // The unbound key variables that occur in a cross-product component.
   static std::vector<std::string> Within(
       const std::vector<std::string>& unbound, const ConjunctiveQuery& sub_q) {

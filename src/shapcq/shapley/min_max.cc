@@ -36,11 +36,6 @@ PartialValue Fold(MonoidKind kind, const PartialValue& a,
   SHAPCQ_UNREACHABLE();
 }
 
-void AddInto(std::vector<BigInt>* acc, const std::vector<BigInt>& counts) {
-  SHAPCQ_CHECK(acc->size() == counts.size());
-  for (size_t k = 0; k < counts.size(); ++k) (*acc)[k] += counts[k];
-}
-
 bool IsZero(const std::vector<BigInt>& counts) {
   return std::all_of(counts.begin(), counts.end(),
                      [](const BigInt& c) { return c.is_zero(); });

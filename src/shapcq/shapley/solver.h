@@ -12,8 +12,8 @@
 //   Avg, Qnt_q      q-hierarchical     [Theorem 5.1]
 //   Dup             sq-hierarchical    [Theorem 6.1]
 //
-// Localization-sensitive special cases (Proposition 7.3) are attempted
-// before giving up: specific τ may be tractable outside the frontier.
+// The Avg/Qnt and Dup engines also solve the localization-sensitive cases
+// of Proposition 7.3: specific τ may be tractable outside the frontier.
 //
 // Dispatch is driven by the EngineRegistry (engine_registry.h): each exact
 // algorithm registers a provider, so new engines plug in without touching

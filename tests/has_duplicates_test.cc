@@ -1,5 +1,5 @@
 // Has-duplicates DP over sq-hierarchical CQs (Section 6 / Appendix E.2),
-// cross-validated against brute force.
+// series and batched scores cross-validated against brute force.
 
 #include <string>
 #include <vector>
@@ -13,6 +13,7 @@
 #include "shapcq/shapley/brute_force.h"
 #include "shapcq/shapley/has_duplicates.h"
 #include "shapcq/shapley/score.h"
+#include "shapcq/shapley/solver_options.h"
 #include "shapcq/workload/generators.h"
 
 namespace shapcq {
@@ -55,14 +56,24 @@ TEST_P(DupSweepTest, MatchesBruteForce) {
   options.domain_size = 3;  // small domain: duplicates are common
   options.seed = param.seed;
   Database db = RandomDatabaseForQuery(q, options);
-  AggregateQuery a{q, MakeTauId(0), AggregateFunction::HasDuplicates()};
-  auto dp = HasDuplicatesSumK(a, db);
-  auto bf = BruteForceSumK(a, db);
-  ASSERT_TRUE(dp.ok()) << dp.status().ToString();
-  ASSERT_TRUE(bf.ok());
-  ASSERT_EQ(dp->size(), bf->size());
-  for (size_t k = 0; k < bf->size(); ++k) {
-    EXPECT_EQ((*dp)[k], (*bf)[k]) << "k=" << k;
+  // τ_>0 is not injective: slices with different x share a group.
+  for (const ValueFunctionPtr& tau :
+       {MakeTauId(0), MakeTauGreaterThan(0, R(0))}) {
+    AggregateQuery a{q, tau, AggregateFunction::HasDuplicates()};
+    auto dp = HasDuplicatesSumK(a, db);
+    auto bf = BruteForceSumK(a, db);
+    ASSERT_TRUE(dp.ok()) << dp.status().ToString();
+    ASSERT_TRUE(bf.ok());
+    EXPECT_EQ(*dp, *bf) << a.ToString();
+    for (ScoreKind kind : {ScoreKind::kShapley, ScoreKind::kBanzhaf}) {
+      SolverOptions score_options;
+      score_options.score = kind;
+      auto batched = HasDuplicatesScoreAll(a, db, score_options);
+      auto oracle = BruteForceScoreAll(a, db, kind);
+      ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+      ASSERT_TRUE(oracle.ok());
+      EXPECT_EQ(*batched, *oracle) << a.ToString();
+    }
   }
 }
 
@@ -160,6 +171,49 @@ TEST(HasDuplicatesTest, ConstantTauOnCrossProduct) {
   auto bf = BruteForceSumK(a, db);
   ASSERT_TRUE(dp.ok());
   for (size_t k = 0; k < bf->size(); ++k) EXPECT_EQ((*dp)[k], (*bf)[k]);
+}
+
+TEST(HasDuplicatesTest, TauOnALaterComponent) {
+  // τ reads head position 1, which the localization component's own head
+  // holds at position 0: the component's values must come from the full
+  // head.
+  ConjunctiveQuery q = MustParseQuery("Q(z, x) <- T(z), R(x, y), S(x)");
+  RandomDatabaseOptions options;
+  options.facts_per_relation = 3;
+  options.domain_size = 3;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    options.seed = seed;
+    Database db = RandomDatabaseForQuery(q, options);
+    AggregateQuery a{q, MakeTauGreaterThan(1, R(0)),
+                     AggregateFunction::HasDuplicates()};
+    auto dp = HasDuplicatesSumK(a, db);
+    auto bf = BruteForceSumK(a, db);
+    ASSERT_TRUE(dp.ok()) << dp.status().ToString();
+    EXPECT_EQ(*dp, *bf) << "seed " << seed;
+    auto batched = HasDuplicatesScoreAll(a, db);
+    ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+    EXPECT_EQ(*batched, *BruteForceScoreAll(a, db, ScoreKind::kShapley))
+        << "seed " << seed;
+  }
+}
+
+TEST(HasDuplicatesTest, TauIsOnlyReadWhereItsVariablesAreBound) {
+  // τ = 1/x is undefined at x = 0, the placeholder of an unbound head
+  // position: the T(z) component, which lacks x, must not evaluate it.
+  ConjunctiveQuery q = MustParseQuery("Q(z, x) <- T(z), R(x)");
+  Database db;
+  db.AddEndogenous("T", {Value(5)});
+  db.AddEndogenous("T", {Value(6)});
+  db.AddEndogenous("R", {Value(1)});
+  db.AddEndogenous("R", {Value(2)});
+  db.AddEndogenous("R", {Value(-1)});
+  ValueFunctionPtr inverse = MakeCallbackTau(
+      [](const Tuple& t) { return Rational(1) / t[1].AsRational(); }, {1},
+      "inverse");
+  AggregateQuery a{q, inverse, AggregateFunction::HasDuplicates()};
+  auto dp = HasDuplicatesSumK(a, db);
+  ASSERT_TRUE(dp.ok()) << dp.status().ToString();
+  EXPECT_EQ(*dp, *BruteForceSumK(a, db));
 }
 
 TEST(HasDuplicatesTest, BooleanQueryNeverHasDuplicates) {

@@ -1,5 +1,5 @@
 // The shared Figure-2 skeleton (shapley/hierarchical_dp.h): for each of
-// the four data structures on it, every leave-one-out variant must equal
+// the five data structures on it, every leave-one-out variant must equal
 // a fresh solve with that fact made exogenous — compared structure for
 // structure, not only through scores — and the batched all-facts shell
 // must not depend on the thread count.
@@ -17,6 +17,7 @@
 #include "shapcq/query/parser.h"
 #include "shapcq/shapley/answer_counts.h"
 #include "shapcq/shapley/avg_quantile_dp.h"
+#include "shapcq/shapley/has_duplicates.h"
 #include "shapcq/shapley/hierarchical_dp.h"
 #include "shapcq/shapley/membership.h"
 #include "shapcq/shapley/min_max.h"
@@ -110,7 +111,7 @@ TEST(HierarchicalDpTest, BagProfileVariantsMatchFreshSolves) {
       Database db = MakeDatabase(q, seed);
       std::vector<Rational> anchors = AvgQuantileAnchors(a, db);
       if (anchors.empty()) continue;
-      BagProfileStructure<CountValue> structure(q, *tau, anchors);
+      BagProfileStructure<CountValue> structure(a, anchors);
       ExpectVariantsMatchFreshSolves(structure, q, structure.Top(), db,
                                      shape.name);
     }
@@ -138,6 +139,26 @@ TEST(HierarchicalDpTest, MaxRowsVariantsMatchFreshSolves) {
     for (uint64_t seed = 1; seed <= 4; ++seed) {
       ExpectVariantsMatchFreshSolves(monoid, q, monoid.Top(),
                                      MakeDatabase(q, seed), "monoid product");
+    }
+  }
+}
+
+TEST(HierarchicalDpTest, DupVariantsMatchFreshSolves) {
+  // τ reads the root variable x, so every shape's localization component
+  // holds it in every atom (the engine's gate). A non-injective τ merges
+  // slices into shared groups; a constant τ makes the whole query a leaf.
+  ConjunctiveQuery root = MustParseQuery("Q(x) <- R(x, y), S(x)");
+  ConjunctiveQuery product = MustParseQuery("Q(x) <- R(x), S(y), T(z)");
+  for (const ConjunctiveQuery& q : {root, product}) {
+    for (const ValueFunctionPtr& tau :
+         {MakeTauId(0), MakeTauGreaterThan(0, Rational(0)),
+          MakeConstantTau(Rational(2))}) {
+      DupStructure structure(q, *tau);
+      for (uint64_t seed = 1; seed <= 4; ++seed) {
+        ExpectVariantsMatchFreshSolves(structure, q, structure.Top(),
+                                       MakeDatabase(q, seed),
+                                       q.ToString() + " " + tau->ToString());
+      }
     }
   }
 }
@@ -189,12 +210,12 @@ TEST(HierarchicalDpTest, ShellIsThreadCountInvariant) {
     ExpectThreadCountInvariant(max, q, max.Top(), db,
                                &MaxRowsStructure::Series);
     AggregateQuery a{q, tau, AggregateFunction::Median()};
-    BagProfileStructure<CountValue> bags(q, *tau, AvgQuantileAnchors(a, db));
+    BagProfileStructure<CountValue> bags(a, AvgQuantileAnchors(a, db));
     ExpectThreadCountInvariant(
         bags, q, bags.Top(), db,
-        [&](const BagProfile<CountValue>& p) {
-          return bags.Series(p, a.alpha);
-        });
+        [&](const BagProfile<CountValue>& p) { return bags.Series(p); });
+    DupStructure dup(q, *tau);
+    ExpectThreadCountInvariant(dup, q, dup.Top(), db, &DupStructure::Series);
   }
 }
 

@@ -23,6 +23,7 @@
 #include "shapcq/shapley/plan.h"
 #include "shapcq/shapley/session.h"
 #include "shapcq/shapley/brute_force.h"
+#include "shapcq/shapley/has_duplicates.h"
 #include "shapcq/shapley/min_max.h"
 #include "shapcq/shapley/min_max_monoid.h"
 #include "shapcq/shapley/score.h"
@@ -321,6 +322,76 @@ TEST(AvgQuantileScoreAllTest, RefusesExactlyLikeTheSeriesEngine) {
   EXPECT_EQ(batched.status().message(), series.status().message());
 }
 
+TEST(AvgQuantileScoreAllTest, Prop73ProductMatchesPerFactAtAnyThreadCount) {
+  // Not q-hierarchical: {R, S} carries no τ variable and only gates.
+  ConjunctiveQuery q = MustParseQuery("Q(x, z) <- R(x, y), S(y), T(z)");
+  RandomDatabaseOptions db_options;
+  db_options.facts_per_relation = 4;
+  db_options.domain_size = 3;
+  db_options.seed = 17;
+  Database db = RandomDatabaseForQuery(q, db_options);
+  ASSERT_GT(db.num_endogenous(), 0);
+  for (AggregateFunction alpha :
+       {AggregateFunction::Avg(), AggregateFunction::Median()}) {
+    AggregateQuery a{q, MakeTauReLU(1), alpha};
+    for (int threads : {1, 2, 8}) {
+      ExpectMatchesPerFact(
+          AvgQuantileScoreAll(a, db, Options(ScoreKind::kShapley, threads)),
+          a, db, AvgQuantileSumK, ScoreKind::kShapley,
+          a.ToString() + " threads " + std::to_string(threads));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// HasDuplicatesScoreAll (Figure 5 DP)
+// ---------------------------------------------------------------------------
+
+TEST(HasDuplicatesScoreAllTest, MatchesPerFactAtAnyThreadCount) {
+  struct Case {
+    const char* query;
+    ValueFunctionPtr tau;
+  };
+  // τ_>0 is not injective, so slices share τ-value groups.
+  const std::vector<Case> cases = {
+      {"Q(x) <- R(x, y), S(x)", MakeTauGreaterThan(0, Rational(0))},
+      {"Q(x, z) <- R(x, y), S(x), T(z)", MakeTauId(0)},
+      {"Q(x, y) <- R(x, y), S(y)", MakeTauId(1)},
+  };
+  for (const Case& c : cases) {
+    ConjunctiveQuery q = MustParseQuery(c.query);
+    RandomDatabaseOptions db_options;
+    db_options.facts_per_relation = 5;
+    db_options.domain_size = 3;
+    db_options.seed = 23;
+    Database db = RandomDatabaseForQuery(q, db_options);
+    ASSERT_GT(db.num_endogenous(), 0);
+    AggregateQuery a{q, c.tau, AggregateFunction::HasDuplicates()};
+    for (ScoreKind kind : {ScoreKind::kShapley, ScoreKind::kBanzhaf}) {
+      for (int threads : {1, 2, 8}) {
+        ExpectMatchesPerFact(
+            HasDuplicatesScoreAll(a, db, Options(kind, threads)), a, db,
+            HasDuplicatesSumK, kind,
+            a.ToString() + " threads " + std::to_string(threads));
+      }
+    }
+  }
+}
+
+TEST(HasDuplicatesScoreAllTest, RefusesExactlyLikeTheSeriesEngine) {
+  // τ reads x, which the S atom lacks (Lemma E.2(2)).
+  ConjunctiveQuery q = MustParseQuery("Q(x, y) <- R(x, y), S(y)");
+  Database db;
+  db.AddEndogenous("R", {Value(1), Value(2)});
+  db.AddEndogenous("S", {Value(2)});
+  AggregateQuery a{q, MakeTauId(0), AggregateFunction::HasDuplicates()};
+  auto batched = HasDuplicatesScoreAll(a, db);
+  auto series = HasDuplicatesSumK(a, db);
+  ASSERT_FALSE(batched.ok());
+  ASSERT_FALSE(series.ok());
+  EXPECT_EQ(batched.status().message(), series.status().message());
+}
+
 // ---------------------------------------------------------------------------
 // SumCountScoreAll: sharded accumulation is thread-count invariant
 // ---------------------------------------------------------------------------
@@ -397,6 +468,8 @@ TEST(ScoreAllWarmCacheTest, CachedPlanSessionsMatchDirectBatchedScorers) {
        MinMaxScoreAll},
       {"avg", "Q(x, y) <- R(x, y), S(y)", AggregateFunction::Avg(),
        AvgQuantileScoreAll},
+      {"dup", "Q(x) <- R(x, y), S(x)", AggregateFunction::HasDuplicates(),
+       HasDuplicatesScoreAll},
   };
   for (const Case& c : cases) {
     ConjunctiveQuery q = MustParseQuery(c.query);

@@ -204,8 +204,8 @@ TEST(ScoreAssemblyTest, BagProfileSeriesMatchesPerCellWeights) {
       }
     }
     for (const AggregateFunction& alpha : alphas) {
-      BagProfileStructure<CountValue> structure(q, *tau, anchors);
-      EXPECT_EQ(structure.Series(p, alpha), SeriesReference(p, anchors, alpha))
+      BagProfileStructure<CountValue> structure({q, tau, alpha}, anchors);
+      EXPECT_EQ(structure.Series(p), SeriesReference(p, anchors, alpha))
           << alpha.ToString() << " trial " << trial;
     }
   }

@@ -11,10 +11,10 @@
 #include "shapcq/agg/value_function.h"
 #include "shapcq/data/database.h"
 #include "shapcq/query/parser.h"
+#include "shapcq/shapley/avg_quantile.h"
 #include "shapcq/shapley/brute_force.h"
 #include "shapcq/shapley/monte_carlo.h"
 #include "shapcq/shapley/solver.h"
-#include "shapcq/shapley/special_cases.h"
 #include "shapcq/workload/generators.h"
 
 namespace shapcq {
@@ -71,10 +71,11 @@ TEST(FrontierTest, SelfJoinsAreOutsideEveryFrontier) {
 }
 
 // ---------------------------------------------------------------------------
-// Proposition 7.3 cases (1) and (2): gated products
+// Proposition 7.3 cases (1) and (2): products whose τ-free component only
+// gates by non-emptiness, solved by the Avg/Qnt engine
 // ---------------------------------------------------------------------------
 
-TEST(GatedProductTest, AvgOnQxyyzMatchesBruteForce) {
+TEST(Prop73Test, AvgOnQxyyzMatchesBruteForce) {
   // Avg ∘ τ²_ReLU ∘ Q_xyyz(x, z) <- R(x, y), S(y), T(z): hard for τ¹,
   // tractable for τ² (localized on T).
   ConjunctiveQuery q = MustParseQuery("Q(x, z) <- R(x, y), S(y), T(z)");
@@ -84,7 +85,7 @@ TEST(GatedProductTest, AvgOnQxyyzMatchesBruteForce) {
     options.seed = seed;
     Database db = RandomDatabaseForQuery(q, options);
     AggregateQuery a{q, MakeTauReLU(1), AggregateFunction::Avg()};
-    auto dp = GatedProductSumK(a, db);
+    auto dp = AvgQuantileSumK(a, db);
     auto bf = BruteForceSumK(a, db);
     ASSERT_TRUE(dp.ok()) << dp.status().ToString();
     ASSERT_TRUE(bf.ok());
@@ -94,7 +95,7 @@ TEST(GatedProductTest, AvgOnQxyyzMatchesBruteForce) {
   }
 }
 
-TEST(GatedProductTest, MedianOnQxyyzMatchesBruteForce) {
+TEST(Prop73Test, MedianOnQxyyzMatchesBruteForce) {
   ConjunctiveQuery q = MustParseQuery("Q(x, z) <- R(x, y), S(y), T(z)");
   RandomDatabaseOptions options;
   options.facts_per_relation = 3;
@@ -103,7 +104,7 @@ TEST(GatedProductTest, MedianOnQxyyzMatchesBruteForce) {
     Database db = RandomDatabaseForQuery(q, options);
     AggregateQuery a{q, MakeTauGreaterThan(1, R(0)),
                      AggregateFunction::Median()};
-    auto dp = GatedProductSumK(a, db);
+    auto dp = AvgQuantileSumK(a, db);
     auto bf = BruteForceSumK(a, db);
     ASSERT_TRUE(dp.ok()) << dp.status().ToString();
     for (size_t k = 0; k < bf->size(); ++k) {
@@ -112,27 +113,66 @@ TEST(GatedProductTest, MedianOnQxyyzMatchesBruteForce) {
   }
 }
 
-TEST(GatedProductTest, RejectsHardLocalization) {
+// The series of α ∘ τ ∘ q by AvgQuantileSumK equals brute force on a few
+// random databases.
+void ExpectAvgQuantileMatchesBruteForce(const ConjunctiveQuery& q,
+                                        const ValueFunctionPtr& tau,
+                                        const AggregateFunction& alpha) {
+  RandomDatabaseOptions options;
+  options.facts_per_relation = 3;
+  options.domain_size = 3;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    options.seed = seed;
+    Database db = RandomDatabaseForQuery(q, options);
+    AggregateQuery a{q, tau, alpha};
+    auto dp = AvgQuantileSumK(a, db);
+    auto bf = BruteForceSumK(a, db);
+    ASSERT_TRUE(dp.ok()) << a.ToString() << ": " << dp.status().ToString();
+    ASSERT_TRUE(bf.ok());
+    EXPECT_EQ(*dp, *bf) << a.ToString() << " seed " << seed;
+  }
+}
+
+TEST(Prop73Test, ConstantTauOnlyGatesTheWholeQuery) {
+  // τ reads no variable: every component is τ-free, so all-hierarchy of
+  // each suffices for Avg and Median.
+  ConjunctiveQuery q = MustParseQuery("Q(x, z) <- R(x, y), S(y), T(z)");
+  for (AggregateFunction alpha :
+       {AggregateFunction::Avg(), AggregateFunction::Median()}) {
+    ExpectAvgQuantileMatchesBruteForce(q, MakeConstantTau(R(5)), alpha);
+  }
+}
+
+TEST(Prop73Test, ComponentUnderARootSplitKeepsItsAnswerCounts) {
+  // After binding x, S(a, z) replicates only slice a's bag, by a factor
+  // that differs across slices: its answer counts must stay.
+  ConjunctiveQuery q = MustParseQuery("Q(x, y, z) <- R(x, y), S(x, z)");
+  for (AggregateFunction alpha :
+       {AggregateFunction::Avg(), AggregateFunction::Median()}) {
+    ExpectAvgQuantileMatchesBruteForce(q, MakeTauId(1), alpha);
+  }
+}
+
+TEST(Prop73Test, RejectsHardLocalization) {
   // τ¹ is localized on R, whose component {R, S} is all-hierarchical but
-  // not q-hierarchical: the Avg engine cannot solve Q1 and the gated
-  // product must refuse rather than answer wrong.
+  // not q-hierarchical: the engine must refuse rather than answer wrong.
   ConjunctiveQuery q = MustParseQuery("Q(x, z) <- R(x, y), S(y), T(z)");
   Database db;
   db.AddEndogenous("R", {Value(1), Value(2)});
   db.AddEndogenous("S", {Value(2)});
   db.AddEndogenous("T", {Value(3)});
   AggregateQuery a{q, MakeTauReLU(0), AggregateFunction::Avg()};
-  EXPECT_FALSE(GatedProductSumK(a, db).ok());
+  EXPECT_FALSE(AvgQuantileSumK(a, db).ok());
 }
 
-TEST(GatedProductTest, RejectsGeneralQuantile) {
+TEST(Prop73Test, RejectsGeneralQuantile) {
   ConjunctiveQuery q = MustParseQuery("Q(x, z) <- R(x, y), S(y), T(z)");
   Database db;
   db.AddEndogenous("T", {Value(3)});
   db.AddEndogenous("R", {Value(1), Value(2)});
   db.AddEndogenous("S", {Value(2)});
   AggregateQuery a{q, MakeTauId(1), AggregateFunction::Quantile(R(1, 4))};
-  EXPECT_FALSE(GatedProductSumK(a, db).ok());
+  EXPECT_FALSE(AvgQuantileSumK(a, db).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -309,9 +349,9 @@ TEST(SolverTest, ExactOnlyFailsOutsideFrontier) {
   EXPECT_FALSE(solver.Compute(db, 0, options).ok());
 }
 
-TEST(SolverTest, GatedProductIsReachableThroughAuto) {
-  // Prop 7.3(1): primary Avg engine fails (not q-hierarchical), the gated
-  // product succeeds — Auto must find it.
+TEST(SolverTest, Prop73IsReachableThroughAuto) {
+  // Prop 7.3(1): the query is not q-hierarchical, but its τ-free component
+  // only gates, so the Avg engine solves it exactly.
   ConjunctiveQuery q = MustParseQuery("Q(x, z) <- R(x, y), S(y), T(z)");
   RandomDatabaseOptions options;
   options.facts_per_relation = 3;
@@ -322,7 +362,7 @@ TEST(SolverTest, GatedProductIsReachableThroughAuto) {
   FactId probe = db.EndogenousFacts().front();
   auto result = solver.Compute(db, probe);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->algorithm, "gated-product/prop-7.3");
+  EXPECT_EQ(result->algorithm, "avg-quantile/q-hierarchical-dp");
 }
 
 TEST(SolverTest, ComputeAllSatisfiesEfficiency) {
